@@ -12,8 +12,8 @@ questions the RPR2xx rules ask:
   shared-state hazard surface.
 
 - **Per-thread classes** — a class whose instances are only ever stored
-  behind a ``threading.local`` attribute (``self._local.bundle =
-  _Bundle(...)``) is *thread-confined*: each thread sees its own
+  behind a ``threading.local`` attribute (``self._local.memo =
+  Memo(...)``) is *thread-confined*: each thread sees its own
   instance, so its unlocked internal caches are safe.  Confinement is
   transitive through construction: classes instantiated in a per-thread
   class's ``__init__`` and kept on ``self`` inherit it.

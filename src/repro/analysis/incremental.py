@@ -80,7 +80,8 @@ HARVEST_VERSION = 3
 #: misses.  (Adding/removing rules needs no bump — the active rule ids
 #: are part of every cache key.)
 #: v2: finding payloads carry the semantic fingerprint context.
-RULESET_VERSION = 2
+#: v3: RPR008 flags ``store.load``.
+RULESET_VERSION = 3
 
 #: Default cache location, relative to the analysis root.
 DEFAULT_CACHE_DIR = ".repro-cache/analysis"

@@ -19,10 +19,10 @@ pool):
   path methods;
 - ``subprocess.run`` / ``call`` / ``check_call`` / ``check_output`` /
   ``Popen`` — use ``asyncio.create_subprocess_exec``;
-- synchronous result-store access: ``get`` / ``put`` / ``invalidate`` /
-  ``absolve`` on a ``store`` receiver, and the two-tier decision
-  cache's ``get`` / ``put`` on a ``cache`` receiver (its store tier
-  reads the disk; the event-loop-safe probe is ``get_memory``).
+- synchronous result-store access: ``get`` / ``put`` / ``load`` /
+  ``invalidate`` / ``absolve`` on a ``store`` receiver, and ``get`` /
+  ``put`` on a ``cache`` receiver (a miss there falls through to the
+  store on the worker; the event-loop-safe probe is ``get_memory``).
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ _FILE_IO_METHODS = frozenset(
 )
 
 #: Store-backed methods that read/write the disk, per receiver tail.
-_STORE_METHODS = frozenset({"get", "put", "invalidate", "absolve"})
+_STORE_METHODS = frozenset({"get", "put", "load", "invalidate", "absolve"})
 _STORE_RECEIVERS = frozenset({"store", "cache"})
 
 

@@ -22,10 +22,10 @@ import numpy as np
 from repro.config.dvs import OperatingPoint, VoltageFrequencyCurve, DEFAULT_VF_CURVE
 from repro.config.microarch import BASE_MICROARCH
 from repro.constants import TARGET_FIT, validate_temperature
-from repro.core.decision import Decision
+from repro.core.decision import Decision, Oracle
 from repro.core.ramp import RampModel
 from repro.errors import AdaptationError
-from repro.harness.platform import Platform, PlatformEvaluation
+from repro.harness.platform import Platform
 from repro.harness.sweep import SimulationCache
 from repro.workloads.characteristics import WorkloadProfile
 
@@ -61,7 +61,7 @@ class JointDecision(Decision):
         return self.meets_target
 
 
-class JointOracle:
+class JointOracle(Oracle):
     """Oracle DVS management under simultaneous FIT and thermal caps.
 
     Args:
@@ -80,21 +80,10 @@ class JointOracle:
         fit_target: float = TARGET_FIT,
         dvs_steps: int = 26,
     ) -> None:
+        super().__init__(platform, cache, vf_curve)
         self.ramp_factory = ramp_factory
-        self.platform = platform or Platform(vf_curve=vf_curve)
-        self.cache = cache or SimulationCache()
-        self.vf_curve = vf_curve
         self.fit_target = fit_target
         self.dvs_steps = dvs_steps
-        self._base_evals: dict[str, PlatformEvaluation] = {}
-
-    def _base_evaluation(self, profile: WorkloadProfile) -> PlatformEvaluation:
-        cached = self._base_evals.get(profile.name)
-        if cached is None:
-            run = self.cache.run(profile, BASE_MICROARCH)
-            cached = self.platform.evaluate(run, self.vf_curve.nominal)
-            self._base_evals[profile.name] = cached
-        return cached
 
     def best(
         self,
@@ -122,7 +111,7 @@ class JointOracle:
         if target_fit <= 0.0:
             raise AdaptationError("FIT target must be positive")
         run = self.cache.run(profile, BASE_MICROARCH)
-        base = self._base_evaluation(profile)
+        base = self.base_evaluation(profile)
         batch = self.platform.evaluate_batch(run, grid)
         perf = batch.ips / base.ips
         fit = ramp.application_fit_batch(batch)

@@ -17,12 +17,24 @@ qualification temperature, adaptation mode, ...).  Every oracle's
 (``t_qual_k``, ``t_limit_k``, ``mode``); the deprecated positional call
 forms (and the ``meets_limit`` alias) were removed after one release of
 ``DeprecationWarning``.
+
+The oracles also share their plumbing through :class:`Oracle`: the
+platform, the simulation cache, the DVS law, and one thread-safe memo
+for derived state (base evaluations, p_qual, RAMP calibrations), so a
+single oracle can serve many worker threads at once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+from repro.config.dvs import DEFAULT_VF_CURVE, VoltageFrequencyCurve
+from repro.config.microarch import BASE_MICROARCH
+from repro.engine.store import MemoryTier
+from repro.harness.platform import Platform, PlatformEvaluation
+from repro.harness.sweep import SimulationCache
+from repro.workloads.characteristics import WorkloadProfile
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -44,3 +56,33 @@ class Decision:
     performance: float
     fit: float = math.nan
     meets_target: bool
+
+
+class Oracle:
+    """The state every oracle shares (see the module docstring).
+
+    Args:
+        platform: the power/thermal platform (a default one if omitted).
+        cache: cycle-level simulation cache (shared across benches).
+        vf_curve: DVS law.
+    """
+
+    def __init__(
+        self,
+        platform: Platform | None = None,
+        cache: SimulationCache | None = None,
+        vf_curve: VoltageFrequencyCurve = DEFAULT_VF_CURVE,
+    ) -> None:
+        self.platform = platform or Platform(vf_curve=vf_curve)
+        self.cache = cache or SimulationCache()
+        self.vf_curve = vf_curve
+        self._memo = MemoryTier()
+
+    def base_evaluation(self, profile: WorkloadProfile) -> PlatformEvaluation:
+        """The base non-adaptive processor at nominal V/f (memoised)."""
+        return self._memo.get_or_compute(
+            ("base", profile.name),
+            lambda: self.platform.evaluate(
+                self.cache.run(profile, BASE_MICROARCH), self.vf_curve.nominal
+            ),
+        )

@@ -30,7 +30,7 @@ from repro.config.dvs import OperatingPoint, VoltageFrequencyCurve, DEFAULT_VF_C
 from repro.config.microarch import BASE_MICROARCH, MicroarchConfig, arch_adaptation_space
 from repro.config.technology import STRUCTURE_NAMES
 from repro.constants import TARGET_FIT
-from repro.core.decision import Decision
+from repro.core.decision import Decision, Oracle
 from repro.core.qualification import QualificationPoint, calibrate
 from repro.core.ramp import AppReliability, RampModel
 from repro.errors import AdaptationError
@@ -69,7 +69,7 @@ class DRMDecision(Decision):
     op: OperatingPoint
 
 
-class DRMOracle:
+class DRMOracle(Oracle):
     """Oracle DRM search over the adaptation spaces.
 
     Args:
@@ -91,15 +91,10 @@ class DRMOracle:
         dvs_steps: int = 26,
         suite: tuple[WorkloadProfile, ...] = WORKLOAD_SUITE,
     ) -> None:
-        self.platform = platform or Platform(vf_curve=vf_curve)
-        self.cache = cache or SimulationCache()
-        self.vf_curve = vf_curve
+        super().__init__(platform, cache, vf_curve)
         self.fit_target = fit_target
         self.dvs_steps = dvs_steps
         self.suite = suite
-        self._p_qual: dict[str, float] | None = None
-        self._ramp_models: dict[float, RampModel] = {}
-        self._base_evals: dict[str, PlatformEvaluation] = {}
 
     # ---- qualification ------------------------------------------------
 
@@ -109,17 +104,18 @@ class DRMOracle:
         The paper fixes p_qual to the highest activity factor obtained
         across the application suite from the timing simulator; we keep
         it per structure so electromigration qualification is worst case
-        for every structure individually.
+        for every structure individually.  Memoised.
         """
-        if self._p_qual is None:
-            worst = {name: 0.0 for name in STRUCTURE_NAMES}
-            for profile in self.suite:
-                run = self.cache.run(profile, BASE_MICROARCH)
-                for pr in run.phases:
-                    for name, a in pr.stats.activity.items():
-                        worst[name] = max(worst[name], a)
-            self._p_qual = worst
-        return self._p_qual
+        return self._memo.get_or_compute("p_qual", self._worst_activity)
+
+    def _worst_activity(self) -> dict[str, float]:
+        worst = {name: 0.0 for name in STRUCTURE_NAMES}
+        for profile in self.suite:
+            run = self.cache.run(profile, BASE_MICROARCH)
+            for pr in run.phases:
+                for name, a in pr.stats.activity.items():
+                    worst[name] = max(worst[name], a)
+        return worst
 
     def qualification_point(self, t_qual_k: float) -> QualificationPoint:
         """Build the qualification point for a given T_qual."""
@@ -133,27 +129,18 @@ class DRMOracle:
 
     def ramp_for(self, t_qual_k: float) -> RampModel:
         """The RAMP model qualified at ``t_qual_k`` (memoised)."""
-        model = self._ramp_models.get(t_qual_k)
-        if model is None:
-            qualified = calibrate(
-                self.qualification_point(t_qual_k),
-                fit_target=self.fit_target,
-                technology=self.platform.technology,
-            )
-            model = RampModel(qualified)
-            self._ramp_models[t_qual_k] = model
-        return model
+        return self._memo.get_or_compute(
+            ("ramp", t_qual_k),
+            lambda: RampModel(
+                calibrate(
+                    self.qualification_point(t_qual_k),
+                    fit_target=self.fit_target,
+                    technology=self.platform.technology,
+                )
+            ),
+        )
 
     # ---- evaluation ----------------------------------------------------
-
-    def base_evaluation(self, profile: WorkloadProfile) -> PlatformEvaluation:
-        """The base non-adaptive processor at nominal V/f (memoised)."""
-        cached = self._base_evals.get(profile.name)
-        if cached is None:
-            run = self.cache.run(profile, BASE_MICROARCH)
-            cached = self.platform.evaluate(run, self.vf_curve.nominal)
-            self._base_evals[profile.name] = cached
-        return cached
 
     def evaluate_candidate(
         self,

@@ -22,9 +22,9 @@ import numpy as np
 from repro.config.dvs import OperatingPoint, VoltageFrequencyCurve, DEFAULT_VF_CURVE
 from repro.config.microarch import BASE_MICROARCH
 from repro.constants import validate_temperature
-from repro.core.decision import Decision
+from repro.core.decision import Decision, Oracle
 from repro.errors import AdaptationError
-from repro.harness.platform import Platform, PlatformEvaluation
+from repro.harness.platform import Platform
 from repro.harness.sweep import SimulationCache
 from repro.workloads.characteristics import WorkloadProfile
 
@@ -49,7 +49,7 @@ class DTMDecision(Decision):
     peak_temperature_k: float
 
 
-class DTMOracle:
+class DTMOracle(Oracle):
     """Oracle DVS-based dynamic thermal management.
 
     Args:
@@ -65,19 +65,8 @@ class DTMOracle:
         vf_curve: VoltageFrequencyCurve = DEFAULT_VF_CURVE,
         dvs_steps: int = 26,
     ) -> None:
-        self.platform = platform or Platform(vf_curve=vf_curve)
-        self.cache = cache or SimulationCache()
-        self.vf_curve = vf_curve
+        super().__init__(platform, cache, vf_curve)
         self.dvs_steps = dvs_steps
-        self._base_evals: dict[str, PlatformEvaluation] = {}
-
-    def _base_evaluation(self, profile: WorkloadProfile) -> PlatformEvaluation:
-        cached = self._base_evals.get(profile.name)
-        if cached is None:
-            run = self.cache.run(profile, BASE_MICROARCH)
-            cached = self.platform.evaluate(run, self.vf_curve.nominal)
-            self._base_evals[profile.name] = cached
-        return cached
 
     def best(
         self, profile: WorkloadProfile, *, t_limit_k: float
@@ -96,7 +85,7 @@ class DTMOracle:
         if not grid:
             raise AdaptationError("DVS grid is empty")
         run = self.cache.run(profile, BASE_MICROARCH)
-        base = self._base_evaluation(profile)
+        base = self.base_evaluation(profile)
         batch = self.platform.evaluate_batch(run, grid)
         perf = batch.ips / base.ips
         peak = batch.peak_temperature_k

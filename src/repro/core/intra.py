@@ -34,10 +34,10 @@ import numpy as np
 from repro.config.dvs import OperatingPoint, VoltageFrequencyCurve, DEFAULT_VF_CURVE
 from repro.config.microarch import BASE_MICROARCH
 from repro.constants import TARGET_FIT
-from repro.core.decision import Decision
+from repro.core.decision import Decision, Oracle
 from repro.core.ramp import RampModel
 from repro.errors import AdaptationError
-from repro.harness.platform import Platform, PlatformEvaluation
+from repro.harness.platform import Platform
 from repro.harness.sweep import SimulationCache
 from repro.workloads.characteristics import WorkloadProfile
 
@@ -65,7 +65,7 @@ class IntraDecision(Decision):
         return tuple(op.frequency_ghz for op in self.schedule)
 
 
-class IntraAppOracle:
+class IntraAppOracle(Oracle):
     """Oracle DRM with per-phase DVS schedules.
 
     Args:
@@ -90,21 +90,10 @@ class IntraAppOracle:
     ) -> None:
         if grid_steps < 2:
             raise AdaptationError("need at least two DVS candidates per phase")
+        super().__init__(platform, cache, vf_curve)
         self.ramp_factory = ramp_factory
-        self.platform = platform or Platform(vf_curve=vf_curve)
-        self.cache = cache or SimulationCache()
-        self.vf_curve = vf_curve
         self.fit_target = fit_target
         self.grid_steps = grid_steps
-        self._base_evals: dict[str, PlatformEvaluation] = {}
-
-    def _base_evaluation(self, profile: WorkloadProfile) -> PlatformEvaluation:
-        cached = self._base_evals.get(profile.name)
-        if cached is None:
-            run = self.cache.run(profile, BASE_MICROARCH)
-            cached = self.platform.evaluate(run, self.vf_curve.nominal)
-            self._base_evals[profile.name] = cached
-        return cached
 
     def _evaluate_schedules(
         self,
@@ -115,7 +104,7 @@ class IntraAppOracle:
         """(performance, fit) arrays for a batch of per-phase schedules."""
         run = self.cache.run(profile, BASE_MICROARCH)
         batch = self.platform.evaluate_batch(run, schedules)
-        perf = batch.ips / self._base_evaluation(profile).ips
+        perf = batch.ips / self.base_evaluation(profile).ips
         return perf, ramp.application_fit_batch(batch)
 
     def _evaluate_schedule(

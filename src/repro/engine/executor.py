@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
+import functools
 import hashlib
 import os
 import time
@@ -51,7 +52,7 @@ from concurrent.futures.process import BrokenProcessPool
 from repro.engine.events import EventLog
 from repro.engine.jobs import Job, JobContext
 from repro.engine.store import (
-    DECODE_ERRORS,
+    MemoryTier,
     ResultStore,
     decode_result,
     encode_result,
@@ -153,7 +154,7 @@ class JobExecutor:
         self.config = config or ExecutorConfig()
         self.store = store
         self.events = events if events is not None else EventLog()
-        self.memory: dict[str, object] = {}
+        self.memory = MemoryTier()
         #: concluded failed attempts per job key (executor lifetime);
         #: what the failure budget is charged against.
         self.failures: dict[str, int] = {}
@@ -163,32 +164,30 @@ class JobExecutor:
     def _lookup(self, job: Job):
         """(found, result) from memory or the persistent store."""
         key = job.cache_key
-        if key in self.memory:
-            return True, self.memory[key]
+        result = self.memory.get(key)
+        if result is not None:
+            return True, result
         if self.store is not None:
-            payload = self.store.get(key)
-            if payload is not None:
-                try:
-                    result = decode_result(job.kind, payload)
-                except DECODE_ERRORS as exc:
-                    # Valid JSON but an undecodable payload: strike it
-                    # (self-heal first, quarantine second) and recompute,
-                    # exactly like on-disk corruption.
-                    action = self.store.invalidate(key)
-                    self.events.emit(
-                        "quarantined" if action == "quarantined" else "healed",
-                        job_key=key,
-                        stage=job.stage,
-                        detail=f"{job.describe()}: {exc!r}",
-                    )
-                    return False, None
-                self.store.absolve(key)
-                self.memory[key] = result
+            result, strike = self.store.load(
+                key, functools.partial(decode_result, job.kind)
+            )
+            if strike is not None:
+                # Valid JSON but an undecodable payload: struck (self-heal
+                # first, quarantine second) and recomputed, exactly like
+                # on-disk corruption.
+                self.events.emit(
+                    strike,
+                    job_key=key,
+                    stage=job.stage,
+                    detail=f"{job.describe()}: undecodable entry",
+                )
+            if result is not None:
+                self.memory.put(key, result)
                 return True, result
         return False, None
 
     def _persist(self, job: Job, result) -> None:
-        self.memory[job.cache_key] = result
+        self.memory.put(job.cache_key, result)
         if self.store is not None:
             payload = encode_result(job.kind, result)
             if payload is not None:

@@ -1,4 +1,13 @@
-"""Content-addressed, schema-versioned on-disk result store.
+"""The cache hierarchy: an in-memory tier over a content-addressed store.
+
+Every cache in the package is built from the two pieces in this module:
+
+- :class:`MemoryTier` — a thread-safe LRU of live objects (simulations,
+  decisions, grid evaluations, oracle calibrations) with hit/miss/
+  eviction counters;
+- :class:`ResultStore` — the content-addressed, schema-versioned
+  on-disk store, whose :meth:`ResultStore.load` is the one *verified
+  read* (get, decode, strike a bad decode, absolve a good one).
 
 The store is the persistence layer of the job engine (and, through
 :class:`~repro.harness.sweep.SimulationCache`, of the whole harness).
@@ -17,7 +26,7 @@ Durability rules:
   recorded, and the read reports a miss: the caller re-derives the result
   from the originating job spec, and the next **verified read** (one that
   decodes all the way back into domain objects; see
-  :meth:`ResultStore.absolve`) clears the marker.  Only if the **same key
+  :meth:`ResultStore.load`) clears the marker.  Only if the **same key
   corrupts a second time** (marker still present) is the entry moved into
   ``quarantine/`` for autopsy.  Either way a damaged cache degrades to
   recomputation, never to an exception.
@@ -45,11 +54,95 @@ import json
 import os
 import tempfile
 import threading
+from collections import OrderedDict
 from pathlib import Path
+from typing import Any, Callable, Hashable
 
 #: Version of the persisted payload encodings.  Bump when the meaning or
 #: shape of any stored payload changes; old entries then read as misses.
 SCHEMA_VERSION = 1
+
+
+class MemoryTier:
+    """A thread-safe LRU of live objects with hit/miss counters.
+
+    Every value cached here is a pure function of its key, so when two
+    threads race to fill one key the first value stored wins and both
+    callers get it.  ``None`` is the miss sentinel; do not cache it.
+
+    Args:
+        capacity: maximum entries before the least recently used is
+            evicted; ``None`` means unbounded.
+    """
+
+    def __init__(self, capacity: int | None = None) -> None:
+        if capacity is not None and capacity < 1:
+            raise ValueError("memory tier capacity must be >= 1")
+        self.capacity = capacity
+        self._entries: OrderedDict[Hashable, Any] = OrderedDict()
+        self._lock = threading.Lock()
+        self._hits = 0
+        self._misses = 0
+        self._evictions = 0
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+    def _lookup(self, key: Hashable, count_miss: bool):
+        with self._lock:
+            value = self._entries.get(key)
+            if value is not None:
+                self._entries.move_to_end(key)
+                self._hits += 1
+            elif count_miss:
+                self._misses += 1
+            return value
+
+    def get(self, key: Hashable):
+        """The cached value, or ``None`` (counted as a hit or a miss)."""
+        return self._lookup(key, count_miss=True)
+
+    def get_memory(self, key: Hashable):
+        """A probe that counts hits but leaves a miss uncounted.
+
+        For a caller that goes on to :meth:`get_or_compute` on a miss
+        (the decision service probes from its event loop, then looks up
+        again on a worker), so each request is counted once.
+        """
+        return self._lookup(key, count_miss=False)
+
+    def put(self, key: Hashable, value):
+        """Cache ``value`` unless ``key`` is cached; returns the cached value."""
+        with self._lock:
+            stored = self._entries.setdefault(key, value)
+            self._entries.move_to_end(key)
+            while self.capacity is not None and len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
+                self._evictions += 1
+            return stored
+
+    def get_or_compute(self, key: Hashable, compute: Callable[[], Any]):
+        """The cached value, or ``compute()``'s result, now cached.
+
+        ``compute`` runs outside the lock, so concurrent misses on one
+        key may both compute; every caller gets the first value stored.
+        """
+        value = self.get(key)
+        if value is None:
+            value = self.put(key, compute())
+        return value
+
+    def stats(self) -> dict[str, int | None]:
+        """Hit, miss, size, capacity and eviction counters."""
+        with self._lock:
+            return {
+                "hits": self._hits,
+                "misses": self._misses,
+                "size": len(self._entries),
+                "capacity": self.capacity,
+                "evictions": self._evictions,
+            }
 
 
 def _injector():
@@ -190,13 +283,33 @@ class ResultStore:
         """Whether an entry exists on disk (without validating it)."""
         return self._object_path(key).exists()
 
+    def load(self, key: str, decode: Callable[[dict], Any]):
+        """The verified read: ``(value, strike)`` for ``key``.
+
+        ``value`` is the entry decoded all the way back into domain
+        objects, or ``None`` on a miss.  An entry that reads but does
+        not decode is struck (:meth:`invalidate`) and ``strike`` says
+        what happened to it (``"healed"`` or ``"quarantined"``); it is
+        ``None`` otherwise.  A good decode absolves a prior strike.
+        """
+        payload = self.get(key)
+        if payload is None:
+            return None, None
+        try:
+            value = decode(payload)
+        except DECODE_ERRORS:
+            action = self.invalidate(key)
+            return None, "quarantined" if action == "quarantined" else "healed"
+        self.absolve(key)
+        return value, None
+
     def absolve(self, key: str) -> None:
         """Forgive a key's first corruption strike.
 
-        Callers invoke this after an entry has decoded all the way back
-        into domain objects — only a *verified* read proves the key is
-        healthy again.  (The envelope check in :meth:`get` is not enough:
-        a payload can parse as JSON yet still be undecodable.)
+        :meth:`load` calls this once an entry has decoded all the way
+        back into domain objects — only a *verified* read proves the key
+        is healthy again.  (The envelope check in :meth:`get` is not
+        enough: a payload can parse as JSON yet still be undecodable.)
         """
         marker = self._heal_marker(key)
         if marker.exists():
@@ -309,8 +422,8 @@ def encode_workload_run(run) -> dict:
 
 #: Exceptions a malformed-but-valid-JSON payload can raise while being
 #: decoded back into result objects: missing keys, wrong shapes, wrong
-#: scalar types, out-of-range enum values.  Quarantine layers catch
-#: exactly these — anything else is a bug that should surface.
+#: scalar types, out-of-range enum values.  :meth:`ResultStore.load`
+#: strikes exactly these — anything else is a bug that should surface.
 DECODE_ERRORS = (
     KeyError,
     IndexError,

@@ -19,7 +19,6 @@ workload executes at an arbitrary DVS operating point:
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -32,6 +31,7 @@ from repro.config.technology import (
 )
 from repro.cpu.analytical import FrequencyScalingModel
 from repro.cpu.simulator import WorkloadRun
+from repro.engine.store import MemoryTier
 from repro.errors import ThermalError
 from repro.kernels.batch import (
     BatchEvaluation,
@@ -135,11 +135,9 @@ class Platform:
         self.thermal = TwoPassThermalModel(self.network)
         self._kernel: BatchKernel | None = None
         self._kernel_lock = threading.Lock()
-        self._eval_memo: OrderedDict | None = None
-        self._eval_memo_capacity = 0
-        self._eval_memo_lock = threading.Lock()
-        self._eval_memo_hits = 0
-        self._eval_memo_misses = 0
+        #: The :meth:`evaluate_batch` memo (see
+        #: :meth:`enable_evaluation_memo`); ``None`` while disabled.
+        self.evaluation_memo: MemoryTier | None = None
 
     def fingerprint(self) -> dict:
         """Canonical JSON-ready description of the platform's physics.
@@ -183,7 +181,7 @@ class Platform:
     # ---- evaluation memo ----------------------------------------------
 
     def enable_evaluation_memo(self, capacity: int = 256) -> None:
-        """Memoise :meth:`evaluate_batch` results in a bounded LRU.
+        """Memoise :meth:`evaluate_batch` results in a memory tier.
 
         Off by default (sweeps stream millions of one-shot grids through
         the kernel; caching them would only burn memory).  The decision
@@ -199,28 +197,7 @@ class Platform:
         evaluation holds a strong reference to its run (``batch.run``),
         so the id cannot be recycled while the entry lives.
         """
-        if capacity < 1:
-            raise ValueError("evaluation memo capacity must be >= 1")
-        with self._eval_memo_lock:
-            self._eval_memo = OrderedDict()
-            self._eval_memo_capacity = capacity
-
-    def disable_evaluation_memo(self) -> None:
-        """Drop the memo and return to uncached evaluation."""
-        with self._eval_memo_lock:
-            self._eval_memo = None
-            self._eval_memo_capacity = 0
-
-    def evaluation_memo_stats(self) -> dict[str, int]:
-        """Hit/miss/size counters for the memo (zeros when disabled)."""
-        with self._eval_memo_lock:
-            return {
-                "enabled": int(self._eval_memo is not None),
-                "size": len(self._eval_memo) if self._eval_memo is not None else 0,
-                "capacity": self._eval_memo_capacity,
-                "hits": self._eval_memo_hits,
-                "misses": self._eval_memo_misses,
-            }
+        self.evaluation_memo = MemoryTier(capacity)
 
     def evaluate_batch(
         self,
@@ -261,25 +238,14 @@ class Platform:
                 fixed point fails to converge — the message names the
                 offending rows.
         """
-        if self._eval_memo is None:
+        memo = self.evaluation_memo
+        if memo is None:
             return self.kernel.evaluate(run, candidates, max_iters, salvage=salvage)
         schedules = self.kernel._normalise(run, candidates)
-        key = (id(run), schedules, max_iters, salvage)
-        with self._eval_memo_lock:
-            if self._eval_memo is not None:
-                hit = self._eval_memo.get(key)
-                if hit is not None:
-                    self._eval_memo.move_to_end(key)
-                    self._eval_memo_hits += 1
-                    return hit
-                self._eval_memo_misses += 1
-        batch = self.kernel.evaluate(run, schedules, max_iters, salvage=salvage)
-        with self._eval_memo_lock:
-            if self._eval_memo is not None:
-                self._eval_memo[key] = batch
-                while len(self._eval_memo) > self._eval_memo_capacity:
-                    self._eval_memo.popitem(last=False)
-        return batch
+        return memo.get_or_compute(
+            (id(run), schedules, max_iters, salvage),
+            lambda: self.kernel.evaluate(run, schedules, max_iters, salvage=salvage),
+        )
 
     def evaluate(self, run: WorkloadRun, op: OperatingPoint) -> PlatformEvaluation:
         """Evaluate a run at one operating point.

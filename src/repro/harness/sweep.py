@@ -30,7 +30,6 @@ cells (emitting ``resumed`` events) and recomputes only the rest.
 from __future__ import annotations
 
 import os
-import threading
 from pathlib import Path
 
 from repro.config.microarch import BASE_MICROARCH, MicroarchConfig
@@ -42,7 +41,7 @@ from repro.cpu.simulator import (
 )
 from repro.engine.jobs import simulate_cache_key
 from repro.engine.store import (
-    DECODE_ERRORS,
+    MemoryTier,
     ResultStore,
     decode_workload_run,
     encode_workload_run,
@@ -72,11 +71,9 @@ class SimulationCache:
         self.seed = seed
         self.disk_dir = Path(disk_dir) if disk_dir is not None else None
         self.store = ResultStore(self.disk_dir) if self.disk_dir is not None else None
-        self._memory: dict[str, WorkloadRun] = {}
-        # The decision service shares one cache across its worker
-        # threads; the memo is the only mutable state, so it alone is
-        # locked — simulations (and store I/O) run outside the lock.
-        self._memory_lock = threading.Lock()
+        #: Live runs; thread-safe, so the decision service's workers
+        #: share one cache (simulations run outside its lock).
+        self.memory = MemoryTier()
 
     def _key(self, profile: WorkloadProfile, config: MicroarchConfig) -> str:
         return simulate_cache_key(
@@ -88,28 +85,25 @@ class SimulationCache:
     ) -> WorkloadRun:
         """Return the (possibly cached) cycle-level run.
 
-        Lookup order: in-memory memo, then the disk store, then a fresh
+        Lookup order: the memory tier, then the disk store, then a fresh
         simulation.  Undecodable store entries are struck (self-healed
         first, quarantined on a repeat) and the simulation re-runs —
         corruption degrades to recomputation, never to an exception.
         """
         key = self._key(profile, config)
-        with self._memory_lock:
-            cached = self._memory.get(key)
-        if cached is not None:
-            return cached
+        return self.memory.get_or_compute(
+            key, lambda: self._load_or_simulate(key, profile, config)
+        )
+
+    def _load_or_simulate(
+        self, key: str, profile: WorkloadProfile, config: MicroarchConfig
+    ) -> WorkloadRun:
         if self.store is not None:
-            payload = self.store.get(key)
-            if payload is not None:
-                try:
-                    run = decode_workload_run(payload, profile, config)
-                except DECODE_ERRORS:
-                    self.store.invalidate(key)
-                else:
-                    self.store.absolve(key)
-                    with self._memory_lock:
-                        self._memory[key] = run
-                    return run
+            run, _ = self.store.load(
+                key, lambda payload: decode_workload_run(payload, profile, config)
+            )
+            if run is not None:
+                return run
         simulator = CycleSimulator(
             config=config,
             instructions=self.instructions,
@@ -117,8 +111,6 @@ class SimulationCache:
             seed=self.seed,
         )
         run = simulator.run(profile)
-        with self._memory_lock:
-            self._memory[key] = run
         if self.store is not None:
             self.store.put(key, "simulate", encode_workload_run(run))
         return run
@@ -306,7 +298,7 @@ class DRMSweepRunner:
         content-addressed store either way).
         """
         from repro.engine.jobs import DRMSearchJob
-        from repro.engine.store import DECODE_ERRORS, decode_result
+        from repro.engine.store import decode_drm_decision
         from repro.telemetry import TelemetryWriter, compact_run
 
         apps = list(apps)
@@ -339,23 +331,18 @@ class DRMSweepRunner:
             key = done.get(self._cell_id(*cell))
             if key is None:
                 continue
-            payload = store.get(key)
-            if payload is None:
+            decision, strike = store.load(key, decode_drm_decision)
+            if decision is None:
+                if strike is not None:
+                    self.engine.events.emit(
+                        strike,
+                        job_key=key,
+                        stage="drm",
+                        detail=f"journalled cell {self._cell_id(*cell)}: "
+                        "undecodable entry",
+                    )
                 done.pop(self._cell_id(*cell), None)
                 continue
-            try:
-                decision = decode_result("drm", payload)
-            except DECODE_ERRORS as exc:
-                action = store.invalidate(key)
-                self.engine.events.emit(
-                    "quarantined" if action == "quarantined" else "healed",
-                    job_key=key,
-                    stage="drm",
-                    detail=f"journalled cell {self._cell_id(*cell)}: {exc!r}",
-                )
-                done.pop(self._cell_id(*cell), None)
-                continue
-            store.absolve(key)
             decisions[cell] = decision
             self.engine.events.emit(
                 "resumed",

@@ -40,11 +40,7 @@ relative tolerance.
 
 from __future__ import annotations
 
-import hashlib
-import struct
-import threading
 import warnings
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -90,68 +86,6 @@ SALVAGE_BUDGET_FACTOR = 4
 #: Candidate spec: a single operating point (applied to every phase) or a
 #: per-phase schedule.
 Candidate = OperatingPoint | Sequence[OperatingPoint]
-
-#: Capacity of the memoized grid-tensor cache.  Entries are small (two
-#: ``(C, P)`` float arrays), so the cap is generous: the oracles cycle
-#: through a handful of grids and the decision service through a few
-#: dozen.
-GRID_TENSOR_CACHE_CAP = 128
-
-_grid_tensor_cache: OrderedDict[
-    tuple[tuple[OperatingPoint, ...], ...], tuple[np.ndarray, np.ndarray]
-] = OrderedDict()
-_grid_tensor_lock = threading.Lock()
-
-
-def grid_digest(schedules: Sequence[Sequence[OperatingPoint]]) -> str:
-    """SHA-256 digest of a normalised candidate grid's exact values.
-
-    The digest covers every (frequency, voltage) pair in order at full
-    float precision, so it is a faithful content address for the grid:
-    two grids share a digest iff they would produce identical candidate
-    tensors.  The decision service keys hot-decision cache entries and
-    evaluation memos on it.
-    """
-    h = hashlib.sha256()
-    h.update(struct.pack("<q", len(schedules)))
-    for ops in schedules:
-        h.update(struct.pack("<q", len(ops)))
-        for op in ops:
-            h.update(struct.pack("<dd", op.frequency_hz, op.voltage_v))
-    return h.hexdigest()
-
-
-def grid_tensors(
-    schedules: tuple[tuple[OperatingPoint, ...], ...],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Memoized ``(frequency_hz, voltage_v)`` tensors for a grid.
-
-    ``Platform.evaluate_batch`` callers re-evaluate the *same* candidate
-    grid against many runs (one per microarchitecture in a DRM search,
-    one per request group in the decision service), and previously
-    rebuilt both ``(C, P)`` tensors from Python objects on every call.
-    This builder is keyed by the (hashable, frozen) schedules tuple and
-    shared by the oracles and the serving hot path alike.
-
-    The returned arrays are **read-only** — they are shared across every
-    evaluation of the grid, so mutating them would corrupt neighbours.
-    Derived quantities (``vf_scale``, powers) are fresh arrays.
-    """
-    with _grid_tensor_lock:
-        cached = _grid_tensor_cache.get(schedules)
-        if cached is not None:
-            _grid_tensor_cache.move_to_end(schedules)
-            return cached
-    freq_hz = np.array([[op.frequency_hz for op in ops] for ops in schedules])
-    volt_v = np.array([[op.voltage_v for op in ops] for ops in schedules])
-    freq_hz.flags.writeable = False
-    volt_v.flags.writeable = False
-    with _grid_tensor_lock:
-        _grid_tensor_cache[schedules] = (freq_hz, volt_v)
-        while len(_grid_tensor_cache) > GRID_TENSOR_CACHE_CAP:
-            _grid_tensor_cache.popitem(last=False)
-    return freq_hz, volt_v
-
 
 @dataclass(frozen=True)
 class SalvageReport:
@@ -389,7 +323,8 @@ class BatchKernel:
         tech = self.power_model.technology
         f_base_hz = tech.frequency_nominal_hz
 
-        freq_hz, volt_v = grid_tensors(schedules)
+        freq_hz = np.array([[op.frequency_hz for op in ops] for ops in schedules])
+        volt_v = np.array([[op.voltage_v for op in ops] for ops in schedules])
 
         cpi_core = np.array([pr.stats.cpi_core for pr in run.phases])
         cpi_mem = np.array([pr.stats.cpi_mem for pr in run.phases])

@@ -176,7 +176,7 @@ class AdversarySearch:
         n_random: int = 12,
         greedy_passes: int = 1,
         anneal_steps: int = 200,
-        temperature: float = 0.05,
+        temperature_fraction: float = 0.05,
     ) -> AdversaryResult:
         """Run random → greedy → annealed search and return the best.
 
@@ -184,9 +184,10 @@ class AdversarySearch:
             n_random: population size for the baseline phase.
             greedy_passes: full coordinate-ascent sweeps over the epochs.
             anneal_steps: Metropolis mutation steps.
-            temperature: initial acceptance temperature, as a fraction
-                of the incumbent objective (decays geometrically to 1 %
-                of its starting value by the final step).
+            temperature_fraction: initial annealing (acceptance)
+                temperature, as a fraction of the incumbent objective
+                (decays geometrically to 1 % of its starting value by
+                the final step).
 
         Raises:
             LifetimeError: on non-positive search budgets.
@@ -242,7 +243,7 @@ class AdversarySearch:
         # high-water mark separately.
         best_epochs = list(incumbent.epochs)
         current = incumbent.objective()
-        t0 = max(temperature * max(current, 1e-300), 1e-300)
+        t0 = max(temperature_fraction * max(current, 1e-300), 1e-300)
         decay = 0.01 ** (1.0 / max(anneal_steps, 1))
         t = t0
         for _ in range(anneal_steps):

@@ -69,17 +69,23 @@ class WearState:
     Attributes:
         damage: float64 array, mechanisms × structures in canonical
             (``MECHANISM_NAMES``, ``STRUCTURE_NAMES``) order.
-        hours: simulated hours folded in so far.
+        hours: simulated hours folded in so far (``None`` to the
+            constructor: none yet, a fresh state).
         epochs: number of accrual steps folded in so far.
     """
 
     __slots__ = ("damage", "hours", "epochs")
 
     def __init__(
-        self, damage: np.ndarray | None = None, hours: float = 0.0, epochs: int = 0
+        self,
+        damage: np.ndarray | None = None,
+        hours: float | None = None,
+        epochs: int = 0,
     ) -> None:
         if damage is None:
             damage = np.zeros(_SHAPE)
+        if hours is None:
+            hours = 0.0
         damage = np.asarray(damage, dtype=np.float64)
         if damage.shape != _SHAPE:
             raise LifetimeError(

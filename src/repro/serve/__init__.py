@@ -6,8 +6,6 @@ once, over a network.  This package turns the oracle library into a
 long-running service without changing a single answer:
 
 - :mod:`~repro.serve.protocol` — requests, wire payloads, cache keys;
-- :mod:`~repro.serve.cache` — two-tier hot-decision cache (LRU over the
-  content-addressed engine store);
 - :mod:`~repro.serve.batcher` — size/deadline micro-batching;
 - :mod:`~repro.serve.state` — sharded per-chip fleet state;
 - :mod:`~repro.serve.service` — the transport-independent core;
@@ -16,12 +14,11 @@ long-running service without changing a single answer:
   harness that measures p50/p99/QPS.
 
 Served decisions are **bit-identical** to direct ``best(...)`` calls:
-the miss path *is* the library call, and every caching layer round-trips
-through the engine store's exact-decode codecs.
+the miss path *is* the library call, and every caching layer is the
+engine's memory tier over its store, whose codecs decode exactly.
 """
 
 from repro.serve.batcher import BatcherStats, MicroBatcher
-from repro.serve.cache import DecisionCache, DecisionCacheStats
 from repro.serve.http import HttpServer
 from repro.serve.loadgen import (
     DEFAULT_PARAMETERS,
@@ -44,8 +41,6 @@ from repro.serve.state import ChipState, ChipStateStore
 __all__ = [
     "BatcherStats",
     "MicroBatcher",
-    "DecisionCache",
-    "DecisionCacheStats",
     "HttpServer",
     "DEFAULT_PARAMETERS",
     "LoadHarness",

@@ -5,11 +5,11 @@
 drive this object.  One request flows::
 
     decide(request)
-      -> in-process LRU probe          (event loop, pure dict work)
+      -> decision-tier probe            (event loop, memory only)
       -> micro-batcher                  (coalesce concurrent requests)
       -> worker pool                    (one thread-pool crossing per batch)
            -> dedupe identical compute identities within the batch
-           -> two-tier decision cache   (memory LRU, then engine store)
+           -> decision tier, then the verified store read
            -> oracle ``best(...)``      (the miss path; the real library
               call, so served decisions are bit-identical to direct ones)
 
@@ -20,22 +20,23 @@ Three sharing layers make batching pay:
 - requests for the **same application** that differ only in their
   reliability knob share one grid evaluation through the platform's
   evaluation memo (:meth:`~repro.harness.platform.Platform.enable_evaluation_memo`);
-- **repeat identities** across batches hit the decision cache without
+- **repeat identities** across batches hit the decision tier without
   touching an oracle at all.
 
-Oracles are *per worker thread* (:class:`threading.local`): their
-internal memos (ramp models, base evaluations, p_qual) are plain dicts,
-so rather than lock them we give each thread its own bundle — they share
-the platform, the simulation cache, and the decision cache, which are
-thread-safe.  Determinism makes this sound: every thread's bundle
-computes identical numbers from identical inputs.
+Every cache here is an engine :class:`~repro.engine.store.MemoryTier` —
+decisions, simulations, grid evaluations and the oracles' own memos —
+over one :class:`~repro.engine.store.ResultStore` at ``store_dir``,
+which simulations and decisions share.  The tiers are thread-safe, so
+every worker uses the same oracle bundle: p_qual and each RAMP
+calibration are computed once per service, and :meth:`prewarm` warms
+what every worker reads.
 """
 
 from __future__ import annotations
 
 import asyncio
 import dataclasses
-import threading
+import functools
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -49,15 +50,16 @@ from repro.core.intra import IntraAppOracle
 from repro.cpu.simulator import DEFAULT_INSTRUCTIONS, DEFAULT_WARMUP
 from repro.engine.events import EventLog
 from repro.engine.jobs import content_hash
-from repro.engine.store import ResultStore
+from repro.engine.store import MemoryTier
 from repro.errors import ServeError
 from repro.harness.platform import Platform
 from repro.harness.sweep import SimulationCache
 from repro.serve.batcher import MicroBatcher
-from repro.serve.cache import DecisionCache
 from repro.serve.protocol import (
     DecideRequest,
     decision_cache_key,
+    decode_decision,
+    encode_decision,
     profile_payload_for,
 )
 from repro.serve.state import ChipStateStore
@@ -86,8 +88,9 @@ class ServiceConfig:
             per request; the benchmark's sequential baseline).
         cache_capacity: in-memory decision LRU size (0 disables the
             decision cache entirely).
-        store_dir: directory for the persistent tiers (decisions and
-            simulations); ``None`` keeps everything in memory.
+        store_dir: directory of the one result store, shared by
+            decisions and simulations; ``None`` keeps everything in
+            memory.
         eval_memo_capacity: platform evaluation memo size (0 disables).
         workers: worker-pool threads.
         n_shards: chip-state lock stripes.
@@ -152,8 +155,8 @@ class _WorkItem:
     key: str
 
 
-class _Bundle:
-    """One worker thread's oracle set (see module docstring)."""
+class OracleBundle:
+    """The service's oracle set, shared by every worker thread."""
 
     def __init__(self, service: "DecisionService") -> None:
         cfg = service.config
@@ -220,29 +223,23 @@ class DecisionService:
         self.platform = Platform()
         if cfg.eval_memo_capacity > 0:
             self.platform.enable_evaluation_memo(cfg.eval_memo_capacity)
-        sim_dir = (
-            str(Path(cfg.store_dir) / "sims") if cfg.store_dir is not None else None
-        )
         self.sim_cache = SimulationCache(
             instructions=cfg.instructions,
             warmup=cfg.warmup,
             seed=cfg.sim_seed,
-            disk_dir=sim_dir,
+            disk_dir=cfg.store_dir,
         )
+        #: The one result store (the simulation cache's), which the
+        #: decision tier persists to as well; ``None`` without a store_dir.
+        self.store = self.sim_cache.store
         self.qual_suite = (
             WORKLOAD_SUITE
             if cfg.qual_apps is None
             else tuple(workload_by_name(a) for a in cfg.qual_apps)
         )
-        store = (
-            ResultStore(Path(cfg.store_dir) / "decisions")
-            if cfg.store_dir is not None
-            else None
-        )
+        #: The decision tier (``None`` when ``cache_capacity`` is 0).
         self.cache = (
-            DecisionCache(cfg.cache_capacity, store=store)
-            if cfg.cache_capacity > 0
-            else None
+            MemoryTier(cfg.cache_capacity) if cfg.cache_capacity > 0 else None
         )
         self.chips = ChipStateStore(cfg.n_shards)
         self.events = EventLog()
@@ -264,7 +261,7 @@ class DecisionService:
             if cfg.batching
             else None
         )
-        self._local = threading.local()
+        self._bundle = OracleBundle(self)
         self._profile_hash = {
             app: content_hash(profile_payload_for(app)) for app in SUITE_NAMES
         }
@@ -300,17 +297,13 @@ class DecisionService:
             profile_hash=self._profile_hash[request.app],
         )
 
-    def oracle_bundle(self) -> _Bundle:
-        """The calling thread's oracle bundle (created on first use).
+    def oracle_bundle(self) -> OracleBundle:
+        """The oracle bundle every worker thread shares.
 
         Exposed so tests and the load harness can make *direct*
         ``best(...)`` calls with exactly the service's parameters.
         """
-        bundle = getattr(self._local, "bundle", None)
-        if bundle is None:
-            bundle = _Bundle(self)
-            self._local.bundle = bundle
-        return bundle
+        return self._bundle
 
     # ---- lifecycle -----------------------------------------------------
 
@@ -320,14 +313,15 @@ class DecisionService:
 
         Runs the cycle-level simulations for ``apps`` (default: the full
         suite) plus the qualification suite, so first requests pay
-        oracle search cost, not simulation cost.
+        oracle search cost, not simulation cost; p_qual is computed once
+        for every worker.
         """
         names = tuple(apps) if apps is not None else SUITE_NAMES
         for app in names:
             self.sim_cache.run(workload_by_name(app))
         for profile in self.qual_suite:
             self.sim_cache.run(profile)
-        self.oracle_bundle().drm.p_qual()
+        self._bundle.drm.p_qual()
 
     async def close(self) -> None:
         """Drain the batcher and shut the worker pool down."""
@@ -428,18 +422,8 @@ class DecisionService:
                 order.append(item.key)
         by_key = {item.key: item for item in items}
         for key in order:
-            item = by_key[key]
             try:
-                decision = None
-                if self.cache is not None:
-                    decision = self.cache.get(key, item.request.kind)
-                if decision is not None:
-                    outcomes[key] = (decision, "store")
-                    continue
-                decision = self.oracle_bundle().best(item.request)
-                if self.cache is not None:
-                    self.cache.put(key, item.request.kind, decision)
-                outcomes[key] = (decision, "computed")
+                outcomes[key] = self._lookup_or_compute(by_key[key])
             # repro: ignore[RPR006] fault isolation: one failing request
             # must poison only its own batch slots, not the whole batch.
             except Exception as exc:
@@ -458,6 +442,34 @@ class DecisionService:
                 results.append((decision, "deduped" if tier == "computed" else tier))
         return results
 
+    def _lookup_or_compute(self, item: _WorkItem) -> tuple[Any, str]:
+        """``(decision, tier)`` for one key: the decision tier, then the
+        verified store read, then the oracle (worker thread only)."""
+        request = item.request
+        if self.cache is None:
+            return self._bundle.best(request), "computed"
+        tier = "memory"
+
+        def load_or_compute():
+            nonlocal tier
+            if self.store is not None:
+                decision, _ = self.store.load(
+                    item.key, functools.partial(decode_decision, request.kind)
+                )
+                if decision is not None:
+                    tier = "store"
+                    return decision
+            tier = "computed"
+            decision = self._bundle.best(request)
+            if self.store is not None:
+                self.store.put(
+                    item.key, request.kind, encode_decision(request.kind, decision)
+                )
+            return decision
+
+        decision = self.cache.get_or_compute(item.key, load_or_compute)
+        return decision, tier
+
     # ---- observability -------------------------------------------------
 
     def stats(self) -> dict[str, Any]:
@@ -469,6 +481,7 @@ class DecisionService:
         process is gone.
         """
         counters = dict(self.events.counters)
+        memo = self.platform.evaluation_memo
         body = {
             "uptime_s": time.monotonic() - self._t0,
             "config": self.config.as_dict(),
@@ -479,8 +492,9 @@ class DecisionService:
                 "failed": counters["failed"],
             },
             "batcher": self.batcher.stats.as_dict() if self.batcher else None,
-            "decision_cache": self.cache.stats.as_dict() if self.cache else None,
-            "evaluation_memo": self.platform.evaluation_memo_stats(),
+            "decision_cache": self.cache.stats() if self.cache is not None else None,
+            "simulation_cache": self.sim_cache.memory.stats(),
+            "evaluation_memo": memo.stats() if memo is not None else None,
             "chips": self.chips.stats(),
             "engine": self.events.summary(),
         }

@@ -422,6 +422,17 @@ class TestAsyncBlocking:
         }, select=["RPR008"])
         assert rules_hit(result) == ["RPR008", "RPR008"]
 
+    def test_flags_the_verified_store_load(self, tmp_path):
+        result = run(tmp_path, {
+            "src/repro/serve/service.py": """
+                async def decide(self, key, decode):
+                    decision, _ = self.store.load(key, decode)
+                    return decision
+            """,
+        }, select=["RPR008"])
+        assert rules_hit(result) == ["RPR008"]
+        assert "store.load()" in result.findings[0].message
+
     def test_clean_async_and_sync_code_pass(self, tmp_path):
         result = run(tmp_path, {
             "src/repro/serve/service.py": """

@@ -121,7 +121,7 @@ class TestSerialExecution:
         assert "transient failure" in outcome.error
         assert outcome.attempts == 2
         assert ex.events.counters["failed"] == 1
-        assert job.cache_key not in ex.memory  # failures are never cached
+        assert ex.memory.get(job.cache_key) is None  # failures are never cached
 
     def test_second_execute_hits_memory(self, tmp_path):
         ex = make_executor(max_workers=1)

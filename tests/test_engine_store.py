@@ -1,11 +1,15 @@
-"""Result-store durability: roundtrips, quarantine, schema versioning."""
+"""The cache hierarchy: memory tier, store durability, verified reads."""
 
+import functools
 import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.config.microarch import BASE_MICROARCH, MicroarchConfig
 from repro.engine.store import (
+    MemoryTier,
     ResultStore,
     decode_result,
     decode_workload_run,
@@ -15,6 +19,104 @@ from repro.engine.store import (
 
 KEY = "ab" + "0" * 62
 OTHER = "cd" + "1" * 62
+
+
+class TestMemoryTier:
+    def test_lru_eviction(self):
+        tier = MemoryTier(capacity=2)
+        tier.put("k1", "d1")
+        tier.put("k2", "d2")
+        assert tier.get("k1") == "d1"  # refresh k1
+        tier.put("k3", "d3")  # evicts k2
+        assert tier.get("k2") is None
+        assert tier.get("k1") == "d1"
+        assert len(tier) == 2
+        assert tier.stats() == {
+            "hits": 2, "misses": 1, "size": 2, "capacity": 2, "evictions": 1,
+        }
+
+    def test_capacity_validation(self):
+        with pytest.raises(ValueError):
+            MemoryTier(capacity=0)
+
+    def test_probe_counts_hits_but_leaves_misses_to_the_lookup(self):
+        tier = MemoryTier()
+        assert tier.get_memory("k") is None
+        assert tier.get_or_compute("k", lambda: "v") == "v"
+        assert tier.get_memory("k") == "v"
+        assert (tier.stats()["hits"], tier.stats()["misses"]) == (1, 1)
+
+    def test_concurrent_fills_share_the_first_value(self):
+        tier = MemoryTier(capacity=64)
+        keys = [i % 16 for i in range(800)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            fill = functools.partial(tier.get_or_compute, compute=object)
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(fill, keys, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        stats = tier.stats()
+        assert stats["hits"] + stats["misses"] == len(keys)
+        assert stats["size"] == 16
+        for key, value in zip(keys, got):
+            assert value is tier.get(key)
+
+
+def _drm_decision():
+    from repro.config.dvs import DEFAULT_VF_CURVE
+    from repro.core.drm import AdaptationMode, DRMDecision
+
+    return DRMDecision(
+        profile_name="twolf",
+        t_qual_k=370.0,
+        mode=AdaptationMode.ARCHDVS,
+        config=BASE_MICROARCH,
+        op=DEFAULT_VF_CURVE.nominal,
+        performance=1.05,
+        fit=3999.5,
+        meets_target=True,
+    )
+
+
+class TestHealLadder:
+    """``ResultStore.load`` strikes bad decodes and absolves good ones."""
+
+    @pytest.mark.parametrize("kind", ["simulate", "drm"])
+    def test_bad_decode_heals_then_quarantines_and_verified_read_absolves(
+        self, tmp_path, kind, test_cache
+    ):
+        from repro.workloads.suite import workload_by_name
+
+        value = (
+            test_cache.run(workload_by_name("twolf"))
+            if kind == "simulate"
+            else _drm_decision()
+        )
+        good = encode_result(kind, value)
+        bad = {"parses": "but does not decode"}
+        decode = functools.partial(decode_result, kind)
+        store = ResultStore(tmp_path)
+
+        # First bad decode: healed, so the caller recomputes and rewrites.
+        store.put(KEY, kind, bad)
+        assert store.load(KEY, decode) == (None, "healed")
+        assert not store.contains(KEY)
+        store.put(KEY, kind, good)
+        # A verified read returns the value and absolves the strike...
+        loaded, strike = store.load(KEY, decode)
+        assert strike is None
+        assert encode_result(kind, loaded) == good
+        # ...so the next bad decode is a first strike again.
+        store.put(KEY, kind, bad)
+        assert store.load(KEY, decode) == (None, "healed")
+        # Second bad decode with no verified read between: quarantined.
+        store.put(KEY, kind, bad)
+        assert store.load(KEY, decode) == (None, "quarantined")
+        assert len(list(store.quarantine_dir.iterdir())) == 1
+        assert (store.stats.healed, store.stats.quarantined) == (2, 1)
+        assert store.load(KEY, decode) == (None, None)  # a plain miss
 
 
 class TestResultStore:

@@ -313,7 +313,7 @@ class TestOracleBatchedSelection:
         profile = workload_by_name("MPGdec")
         decision = dtm_oracle.best(profile, t_limit_k=365.0)
         run = dtm_oracle.cache.run(profile, BASE_MICROARCH)
-        base = dtm_oracle._base_evaluation(profile)
+        base = dtm_oracle.base_evaluation(profile)
         best_perf, best_op = -np.inf, None
         for op in dtm_oracle.vf_curve.grid(dtm_oracle.dvs_steps):
             ev = dtm_oracle.platform.evaluate(run, op)

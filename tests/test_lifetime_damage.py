@@ -15,11 +15,18 @@ def uniform_rates(value: float = 1e-6) -> np.ndarray:
     return np.full(SHAPE, value)
 
 
+def same_bits(actual, expected: float) -> bool:
+    """Bit-for-bit equality of a float (or every array element) with
+    ``expected``: these checks pin exact arithmetic, not closeness."""
+    actual = np.asarray(actual, dtype=np.float64)
+    return np.array_equal(actual, np.full(actual.shape, expected))
+
+
 class TestDamageModel:
     def test_defaults_are_sofr_consistent(self):
         model = DamageModel()
-        assert model.fail_threshold == 1.0
-        assert model.asymmetry_coefficient == 0.0
+        assert same_bits(model.fail_threshold, 1.0)
+        assert same_bits(model.asymmetry_coefficient, 0.0)
 
     @pytest.mark.parametrize("threshold", [0.0, -0.5, float("nan"), float("inf")])
     def test_rejects_bad_threshold(self, threshold):
@@ -36,9 +43,9 @@ class TestWearState:
     def test_fresh_is_zero(self):
         state = WearState.fresh()
         assert state.damage.shape == SHAPE
-        assert state.total == 0.0
-        assert state.peak == 0.0
-        assert state.hours == 0.0
+        assert same_bits(state.total, 0.0)
+        assert same_bits(state.peak, 0.0)
+        assert same_bits(state.hours, 0.0)
         assert state.epochs == 0
         assert not state.failed()
 
@@ -46,11 +53,11 @@ class TestWearState:
         # Powers of two keep the arithmetic exact, so == is meaningful.
         state = WearState.fresh()
         state.accrue(uniform_rates(2.0**-20), 128.0)
-        assert np.all(state.damage == 2.0**-13)
-        assert state.hours == 128.0
+        assert same_bits(state.damage, 2.0**-13)
+        assert same_bits(state.hours, 128.0)
         assert state.epochs == 1
         state.accrue(uniform_rates(2.0**-21), 64.0)
-        assert np.all(state.damage == 2.0**-13 + 2.0**-15)
+        assert same_bits(state.damage, 2.0**-13 + 2.0**-15)
         assert state.epochs == 2
 
     def test_reset_structure_zeros_one_column(self):
@@ -58,9 +65,9 @@ class TestWearState:
         state.accrue(uniform_rates(2.0**-20), 128.0)
         state.reset_structure("fpu")
         column = STRUCTURE_NAMES.index("fpu")
-        assert np.all(state.damage[:, column] == 0.0)
+        assert same_bits(state.damage[:, column], 0.0)
         others = np.delete(state.damage, column, axis=1)
-        assert np.all(others == 2.0**-13)
+        assert same_bits(others, 2.0**-13)
 
     def test_reset_unknown_structure_rejected(self):
         with pytest.raises(LifetimeError):
@@ -73,8 +80,8 @@ class TestWearState:
         mech, struct, worst = state.binding_cell()
         assert mech == MECHANISM_NAMES[1]
         assert struct == STRUCTURE_NAMES[3]
-        assert worst == 0.7
-        assert state.peak == 0.7
+        assert same_bits(worst, 0.7)
+        assert same_bits(state.peak, 0.7)
         assert state.failed(threshold=0.5)
         assert not state.failed(threshold=0.9)
 
@@ -142,8 +149,8 @@ class TestAccrueKernel:
         damage = np.zeros(SHAPE)
         out = accrue(damage, uniform_rates(2.0**-20), 8.0)
         assert out is not damage
-        assert np.all(damage == 0.0)
-        assert np.all(out == 2.0**-17)
+        assert same_bits(damage, 0.0)
+        assert same_bits(out, 2.0**-17)
 
     def test_rejects_negative_rates(self):
         rates = uniform_rates()

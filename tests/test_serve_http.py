@@ -83,11 +83,11 @@ class TestEndToEnd:
                 first = await harness.run_http(
                     "127.0.0.1", server.port, trace, mix="static"
                 )
-                hits_before = serve_service.cache.stats.hits
+                hits_before = serve_service.cache.stats()["hits"]
                 second = await harness.run_http(
                     "127.0.0.1", server.port, trace, mix="static"
                 )
-                hits_after = serve_service.cache.stats.hits
+                hits_after = serve_service.cache.stats()["hits"]
 
                 # Bit-identity probe: every distinct question in the
                 # trace, served over the wire, decodes to exactly what a

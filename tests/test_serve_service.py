@@ -10,18 +10,20 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.core.drm import AdaptationMode, DRMOracle
 from repro.core.dtm import DTMOracle
-from repro.engine.store import ResultStore
 from repro.errors import ServeError
 from repro.harness.platform import Platform
 from repro.harness.sweep import SimulationCache
 from repro.serve import (
     DecideRequest,
-    DecisionCache,
+    DecisionService,
     ServiceConfig,
     decode_decision,
     encode_decision,
@@ -92,43 +94,6 @@ class TestProtocol:
             encode_decision("nope", object())
         with pytest.raises(ServeError):
             decode_decision("nope", {})
-
-
-class TestDecisionCache:
-    def test_lru_eviction(self):
-        cache = DecisionCache(capacity=2)
-        cache.put("k1", "dtm", "d1")
-        cache.put("k2", "dtm", "d2")
-        assert cache.get_memory("k1") == "d1"  # refresh k1
-        cache.put("k3", "dtm", "d3")  # evicts k2
-        assert cache.get_memory("k2") is None
-        assert cache.get_memory("k1") == "d1"
-        assert len(cache) == 2
-
-    def test_store_tier_round_trip_and_promotion(self, tmp_path, dtm_oracle):
-        decision = dtm_oracle.best(workload_by_name("gzip"), t_limit_k=355.0)
-        store = ResultStore(tmp_path / "store")
-        first = DecisionCache(capacity=4, store=store)
-        first.put("key", "dtm", decision)
-        # A different process: fresh memory tier, same store.
-        second = DecisionCache(capacity=4, store=ResultStore(tmp_path / "store"))
-        assert second.get_memory("key") is None
-        revived = second.get("key", "dtm")
-        assert revived == decision  # exact decode, bit-identical
-        assert second.stats.store_hits == 1
-        assert second.get_memory("key") == decision  # promoted
-
-    def test_undecodable_store_entry_is_struck_not_raised(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        store.put("key", "dtm", {"bogus": True})
-        cache = DecisionCache(capacity=4, store=store)
-        assert cache.get("key", "dtm") is None
-        assert cache.stats.store_invalidated == 1
-        assert cache.stats.misses == 1
-
-    def test_capacity_validation(self):
-        with pytest.raises(ValueError):
-            DecisionCache(capacity=0)
 
 
 class TestChipStateStore:
@@ -266,11 +231,13 @@ class TestDecisionService:
         r1 = DecideRequest(kind="drm", app="art", t_qual_k=365.0, mode="dvs")
         r2 = DecideRequest(kind="drm", app="art", t_qual_k=375.0, mode="dvs")
 
+        memo = serve_service.platform.evaluation_memo
+
         async def scenario():
             await serve_service.decide(r1)
-            before = serve_service.platform.evaluation_memo_stats()["hits"]
+            before = memo.stats()["hits"]
             await serve_service.decide(r2)
-            after = serve_service.platform.evaluation_memo_stats()["hits"]
+            after = memo.stats()["hits"]
             return before, after
 
         before, after = run(scenario())
@@ -302,8 +269,9 @@ class TestDecisionService:
         stats = serve_service.stats()
         assert stats["requests"]["submitted"] > 0
         assert stats["batcher"]["flushes"] >= 1
-        assert stats["decision_cache"]["hit_rate"] > 0.0
-        assert stats["evaluation_memo"]["enabled"] == 1
+        for tier in ("decision_cache", "simulation_cache", "evaluation_memo"):
+            assert stats[tier]["hits"] > 0
+            assert stats[tier]["misses"] > 0
         assert stats["chips"]["chips"] >= 1
         assert stats["engine"]["counters"]["submitted"] == (
             stats["requests"]["submitted"]
@@ -330,3 +298,100 @@ class TestDecisionService:
         expected = run(reference())
         assert served.decision == expected.decision
         service.executor.shutdown(wait=False)
+
+    def test_one_store_survives_a_restart(self, serve_config, tmp_path):
+        config = dataclasses.replace(serve_config, store_dir=str(tmp_path))
+        request = REQUESTS[1]
+        first = DecisionService(config)
+        empty = first.stats()
+        assert empty["decision_cache"]["size"] == empty["evaluation_memo"]["size"] == 0
+        computed = run(first.decide(request))
+        first.executor.shutdown(wait=False)
+        # Simulations and decisions share one store: no per-tier subdirs.
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["objects", "telemetry"]
+
+        # A different process: fresh memory tiers, same store.
+        second = DecisionService(config)
+        revived = run(second.decide(request))
+        again = run(second.decide(request))
+        second.executor.shutdown(wait=False)
+        assert (computed.tier, revived.tier, again.tier) == ("computed", "store", "memory")
+        assert revived.decision == computed.decision  # exact decode
+        assert second.stats()["simulation_cache"]["misses"] == 0  # nothing simulated
+
+
+def worker_p_qual(service):
+    """p_qual as the calling (worker) thread's oracles see it."""
+    return service.oracle_bundle().drm.p_qual()
+
+
+class TestSharedBundle:
+    """Every worker thread uses the service's one oracle bundle."""
+
+    CELLS = [
+        request
+        for app in ("gzip", "art")
+        for t in (360.0, 375.0)
+        for request in (
+            DecideRequest(kind="drm", app=app, t_qual_k=t, mode="dvs"),
+            DecideRequest(kind="dtm", app=app, t_limit_k=t - 15.0),
+            DecideRequest(kind="joint", app=app, t_qual_k=t, t_limit_k=t - 15.0),
+            DecideRequest(kind="intra", app=app, t_qual_k=t, strategy="greedy"),
+        )
+    ]
+
+    def test_concurrent_best_matches_a_serial_run(self, serve_config):
+        def encoded(request, decision) -> str:
+            return json.dumps(encode_decision(request.kind, decision), sort_keys=True)
+
+        serial_service = DecisionService(serve_config)
+        serial = [encoded(r, serial_service.oracle_bundle().best(r)) for r in self.CELLS]
+        serial_service.executor.shutdown(wait=False)
+
+        service = DecisionService(serve_config)
+        bundle = service.oracle_bundle()
+        # Overlapping cells, each asked four times in a scrambled order.
+        order = [(i * 5) % len(self.CELLS) for i in range(4 * len(self.CELLS))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                answers = list(
+                    pool.map(bundle.best, [self.CELLS[i] for i in order], timeout=600)
+                )
+        finally:
+            sys.setswitchinterval(interval)
+        for i, decision in zip(order, answers):
+            assert encoded(self.CELLS[i], decision) == serial[i]
+        on_workers = {
+            service.executor.submit(service.oracle_bundle).result(timeout=60)
+            for _ in range(4)
+        }
+        service.executor.shutdown(wait=False)
+        assert on_workers == {bundle}
+
+    def test_prewarm_leaves_no_calibration_to_the_workers(
+        self, serve_config, monkeypatch
+    ):
+        from repro.core import drm as drm_module
+
+        service = DecisionService(serve_config)
+        service.prewarm(["gzip"])
+        bundle = service.oracle_bundle()
+        bundle.drm.ramp_for(370.0)
+        p_qual = bundle.drm.p_qual()
+
+        calibrations = []
+        calibrate = drm_module.calibrate
+
+        def counting_calibrate(*args, **kwargs):
+            calibrations.append(args)
+            return calibrate(*args, **kwargs)
+
+        monkeypatch.setattr(drm_module, "calibrate", counting_calibrate)
+        on_worker = service.executor.submit(worker_p_qual, service).result(timeout=60)
+        served = run(service.decide(REQUESTS[0]))
+        service.executor.shutdown(wait=False)
+        assert served.tier == "computed"
+        assert on_worker is p_qual
+        assert calibrations == []
