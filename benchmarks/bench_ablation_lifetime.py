@@ -16,7 +16,7 @@ would legitimise.
 
 import pytest
 
-from repro.core.lifetime import (
+from repro.lifetime.distributions import (
     ExponentialLifetime,
     LognormalLifetime,
     WeibullLifetime,

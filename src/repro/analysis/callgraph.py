@@ -6,8 +6,7 @@ thread*, and that fact lives two or three calls away from the write.
 This module supplies the reachability substrate in two stages:
 
 1. :func:`harvest_callgraph` — one file's contribution, extracted from
-   its AST as plain JSON-able data (and therefore cacheable by content
-   hash, exactly like the unit-signature harvest): every function's
+   its AST as plain JSON-able data: every function's
    calls, attribute writes, lock acquisitions (``with`` / ``async
    with`` scopes), resource acquisitions, async coloring, local
    variable types, plus the file's classes, attribute types, and import
@@ -40,10 +39,6 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-
-#: Bump when the harvest payload shape or the resolution semantics
-#: change; part of the incremental driver's call-graph-pass cache key.
-CALLGRAPH_VERSION = 1
 
 #: Container constructors that produce known non-thread-safe mutable
 #: values (the types RPR201/RPR203 reason about).
@@ -124,29 +119,6 @@ def dotted_expr(node: ast.expr) -> str | None:
         base = dotted_expr(node.value)
         return f"{base}.{node.attr}" if base else None
     return None
-
-
-def _import_aliases(tree: ast.Module, module: str | None) -> dict[str, str]:
-    """Local name -> fully dotted target for every import in the file."""
-    package_parts = module.split(".")[:-1] if module else []
-    out: dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                local = alias.asname or alias.name.split(".")[0]
-                out[local] = alias.name if alias.asname else alias.name.split(".")[0]
-        elif isinstance(node, ast.ImportFrom):
-            if node.level == 0:
-                base = node.module or ""
-            else:
-                anchor = package_parts[: len(package_parts) - (node.level - 1)]
-                base = ".".join(
-                    anchor + ([node.module] if node.module else [])
-                )
-            for alias in node.names:
-                local = alias.asname or alias.name
-                out[local] = f"{base}.{alias.name}" if base else alias.name
-    return out
 
 
 def _value_type_expr(node: ast.expr | None) -> str | None:
@@ -525,8 +497,14 @@ class _FunctionHarvester:
                     self.escaped.add(passed)
 
 
-def harvest_callgraph(tree: ast.Module, module: str | None) -> dict:
-    """One file's call-graph facts, JSON-ready (see module docstring)."""
+def harvest_callgraph(
+    tree: ast.Module, module: str | None, imports: dict[str, str]
+) -> dict:
+    """One file's call-graph facts, JSON-ready (see module docstring).
+
+    ``imports`` is the file's import map
+    (:func:`repro.analysis.imports.build_import_map`).
+    """
     functions: dict[str, dict] = {}
     classes: dict[str, dict] = {}
     module_globals: set[str] = set()
@@ -591,7 +569,7 @@ def harvest_callgraph(tree: ast.Module, module: str | None) -> dict:
     return {
         "functions": functions,
         "classes": classes,
-        "imports": _import_aliases(tree, module),
+        "imports": imports,
         "globals": sorted(module_globals),
         "global_types": global_types,
     }

@@ -22,7 +22,6 @@ from pathlib import Path
 from repro.analysis.baseline import DEFAULT_BASELINE, Baseline
 from repro.analysis.emitters import to_json, to_sarif, to_text
 from repro.analysis.engine import Analyzer
-from repro.analysis.incremental import DEFAULT_CACHE_DIR
 from repro.analysis.registry import (
     AnalysisError,
     all_rules,
@@ -91,20 +90,10 @@ def add_analyze_parser(sub: argparse._SubParsersAction) -> None:
                         "suppression syntax, then exit")
     p.add_argument("--verbose", action="store_true",
                    help="also show baselined (accepted) findings")
-    p.add_argument("--jobs", type=int, default=None, metavar="N",
-                   help="worker processes for cold analysis (default: all "
-                        "cores; 1 = serial)")
-    p.add_argument("--cache-dir", default=None,
-                   help="incremental result-cache directory (default "
-                        f"{DEFAULT_CACHE_DIR}, or [tool.repro.analysis]"
-                        ".cache_dir)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="disable the incremental cache and analyze "
-                        "everything in-process")
     p.add_argument("--stats", action="store_true",
-                   help="print cache and timing statistics to stderr")
+                   help="print timing statistics to stderr")
     p.add_argument("--stats-json", default=None, metavar="FILE",
-                   help="also write driver statistics (cache layers, "
+                   help="also write run statistics (files, project-pass "
                         "timings, files/s) to FILE as JSON")
     p.add_argument("--changed", action="store_true",
                    help="report findings only for files changed vs git "
@@ -179,12 +168,6 @@ def run_analyze(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
 
-    cache_dir: Path | None = None
-    if not args.no_cache:
-        cache_dir = root / (
-            args.cache_dir or config.get("cache_dir") or DEFAULT_CACHE_DIR
-        )
-
     report_only: set[str] | None = None
     if args.changed:
         report_only = changed_rel_paths(root)
@@ -212,8 +195,6 @@ def run_analyze(args: argparse.Namespace) -> int:
             root=root,
             select=select,
             ignore=_split_ids(args.ignore),
-            cache_dir=cache_dir,
-            workers=args.jobs,
             report_only=report_only,
         )
         result = analyzer.analyze_paths(paths)
@@ -268,29 +249,16 @@ def run_analyze(args: argparse.Namespace) -> int:
     files = stats.get("files", result.files_scanned) or 0
     if args.stats:
         line = (
-            f"analyze: {stats.get('driver', '?')} driver, "
-            f"{files} file(s), "
+            f"analyze: {files} file(s), "
             f"{stats.get('analyzed', '?')} analyzed, "
-            f"{stats.get('cached', 0)} cached, "
             f"{duration_s:.2f}s"
         )
-        if "harvest_hits" in stats:
-            line += (
-                f" (harvest: {stats['harvest_hits']} hit(s), "
-                f"{stats['harvest_misses']} miss(es))"
-            )
         if duration_s > 0:
             line += f", {files / duration_s:.1f} files/s"
         if stats.get("callgraph_rules"):
-            line += (
-                f" [callgraph: {stats.get('callgraph_pass', '?')} in "
-                f"{stats.get('callgraph_pass_s', 0.0):.3f}s]"
-            )
+            line += f" [callgraph: {stats.get('callgraph_pass_s', 0.0):.3f}s]"
         if stats.get("range_rules"):
-            line += (
-                f" [range: {stats.get('range_pass', '?')} in "
-                f"{stats.get('range_pass_s', 0.0):.3f}s]"
-            )
+            line += f" [range: {stats.get('range_pass_s', 0.0):.3f}s]"
         print(line, file=sys.stderr)
 
     if args.stats_json:

@@ -323,7 +323,7 @@ class ConcurrencyModel:
 
 
 # ---------------------------------------------------------------------------
-# The project snapshot and runner shared by both drivers.
+# The project snapshot and its rule runner.
 # ---------------------------------------------------------------------------
 
 
@@ -331,10 +331,10 @@ class ConcurrencyModel:
 class ProjectSnapshot:
     """Everything a project-scoped rule sees for one run.
 
-    Built once per analysis (from live ASTs in the in-process driver,
-    from cached harvests in the incremental one).  Test files are
-    excluded at construction: fixtures deliberately violate concurrency
-    discipline, and their fake threads would poison the coloring.
+    Built once per analysis from the per-file call-graph harvests.  Test
+    files are excluded at construction: fixtures deliberately violate
+    concurrency discipline, and their fake threads would poison the
+    coloring.
     """
 
     graph: CallGraph
@@ -371,18 +371,6 @@ class ProjectSnapshot:
     def is_suppressed(self, finding: Finding) -> bool:
         rules = self.suppress.get(finding.path, {}).get(finding.line)
         return rules is not None and finding.rule in rules
-
-
-def suppress_payload(index) -> dict[str, list[str]]:
-    """Serialize a :class:`SuppressionIndex` for the harvest cache."""
-    return {
-        str(line): sorted(rules)
-        for line, rules in index._by_line.items()
-    }
-
-
-def suppress_from_payload(payload: dict) -> dict[int, set[str]]:
-    return {int(line): set(rules) for line, rules in payload.items()}
 
 
 def run_project_rules(

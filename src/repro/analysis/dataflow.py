@@ -63,33 +63,6 @@ class UnitDiagnostic:
     message: str
 
 
-def build_import_map(tree: ast.Module, module: str | None) -> dict[str, str]:
-    """Local name -> dotted import target, from one file's imports.
-
-    Shared by the unit and interval interpreters; relative imports are
-    anchored at ``module``'s package.
-    """
-    out: dict[str, str] = {}
-    package = (module or "").split(".")[:-1]
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                out[alias.asname or alias.name.split(".")[0]] = (
-                    alias.name if alias.asname else alias.name.split(".")[0]
-                )
-        elif isinstance(node, ast.ImportFrom):
-            if node.level == 0:
-                base = node.module or ""
-            else:
-                anchor = package[: len(package) - (node.level - 1)]
-                base = ".".join(anchor + ([node.module] if node.module else []))
-            for alias in node.names:
-                out[alias.asname or alias.name] = (
-                    f"{base}.{alias.name}" if base else alias.name
-                )
-    return out
-
-
 def _known(unit: Unit | None) -> bool:
     return unit is not None and unit is not NUMBER and unit is not DIMENSIONLESS
 
@@ -121,20 +94,24 @@ class UnitInterpreter:
     Args:
         table: the project-wide signature table.
         module: the file's dotted module name (or None).
+        imports: the file's local-name -> dotted-target import map.
     """
 
-    def __init__(self, table: SignatureTable, module: str | None) -> None:
+    def __init__(
+        self, table: SignatureTable, module: str | None, imports: dict[str, str]
+    ) -> None:
         self.table = table
         self.module = module
         self.diagnostics: list[UnitDiagnostic] = []
-        self._imports: dict[str, str] = {}
+        self._imports = imports
 
     # ---- entry point ---------------------------------------------------
 
-    def run(self, tree: ast.Module) -> list[UnitDiagnostic]:
-        self._imports = build_import_map(tree, self.module)
+    def run(
+        self, tree: ast.Module, nodes: tuple[ast.AST, ...]
+    ) -> list[UnitDiagnostic]:
         self._exec_block(tree.body, {})
-        for node in ast.walk(tree):
+        for node in nodes:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 env = self._seed_env(node)
                 self._exec_block(node.body, env)
@@ -535,8 +512,9 @@ class UnitInterpreter:
         )
 
 
-def analyze_units(
-    tree: ast.Module, table: SignatureTable, module: str | None
-) -> list[UnitDiagnostic]:
-    """Run the unit-dataflow pass over one parsed file."""
-    return UnitInterpreter(table, module).run(tree)
+def analyze_units(ctx) -> list[UnitDiagnostic]:
+    """Run the unit-dataflow pass over one file's analysis context."""
+    interpreter = UnitInterpreter(
+        ctx.project.unit_signatures, ctx.module, ctx.imports
+    )
+    return interpreter.run(ctx.tree, ctx.nodes)

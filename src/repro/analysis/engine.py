@@ -1,11 +1,14 @@
 """The analysis driver: file collection, parsing, rule dispatch.
 
-One :class:`Analyzer` run parses every target file once, builds the
-project-wide import graph (for reachability-scoped rules), then hands
-each file to each applicable rule and filters the raw findings through
-inline suppressions.  Baseline filtering happens one layer up, in
-:mod:`repro.analysis.baseline`, so library callers can see the full
-finding set.
+One :class:`Analyzer` run parses every target file once and walks each
+tree once: the node tuple and the file's import map live on its
+:class:`FileContext`, and every per-file rule and harvest reads them
+instead of re-walking the AST.  The run builds the project-wide import
+graph (for reachability-scoped rules), hands each file to each
+applicable rule, runs the project passes (call graph, range check), and
+filters the raw findings through inline suppressions.  Baseline
+filtering happens one layer up, in :mod:`repro.analysis.baseline`, so
+library callers can see the full finding set.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from repro.analysis.findings import AnalysisResult, Finding, Severity
 from repro.analysis.imports import (
     ImportGraph,
     build_import_graph,
+    build_import_map,
     module_name_for,
     rel_posix,
 )
@@ -55,13 +59,20 @@ class ProjectContext:
 
 @dataclass
 class FileContext:
-    """One parsed file plus everything a rule needs to inspect it."""
+    """One parsed file plus everything a rule needs to inspect it.
+
+    ``nodes`` is ``tuple(ast.walk(tree))``: rules iterate it instead of
+    walking the tree again, in the same breadth-first order.
+    ``imports`` is the file's local-name -> dotted-target import map.
+    """
 
     path: Path
     rel_path: str
     source: str
     lines: list[str]
     tree: ast.Module
+    nodes: tuple[ast.AST, ...]
+    imports: dict[str, str]
     module: str | None
     project: ProjectContext
     suppressions: SuppressionIndex
@@ -94,9 +105,7 @@ class FileContext:
         if self._unit_diags is None:
             from repro.analysis.dataflow import analyze_units
 
-            self._unit_diags = analyze_units(
-                self.tree, self.project.unit_signatures, self.module
-            )
+            self._unit_diags = analyze_units(self)
         return self._unit_diags
 
     def interval_diagnostics(self):
@@ -108,9 +117,7 @@ class FileContext:
         if self._interval_diags is None:
             from repro.analysis.intervals import analyze_intervals
 
-            self._interval_diags = analyze_intervals(
-                self.tree, self.project.unit_signatures, self.module
-            )
+            self._interval_diags = analyze_intervals(self)
         return self._interval_diags
 
     _unit_diags: list | None = field(default=None, repr=False)
@@ -160,30 +167,6 @@ def collect_files(paths: list[Path]) -> list[Path]:
     return sorted(out)
 
 
-def range_findings(rules: tuple[Rule, ...], payloads: list[dict]) -> list[Finding]:
-    """Turn range-pass payloads into RPR302 findings.
-
-    Shared by both drivers: the in-process path computes payloads
-    directly, the incremental driver replays them from its cache.
-    """
-    rule = next((r for r in rules if r.id == "RPR302"), None)
-    if rule is None:
-        return []
-    return [
-        Finding(
-            rule=rule.id,
-            path=p["path"],
-            line=p["line"],
-            col=p["col"],
-            message=p["message"],
-            severity=rule.severity,
-            snippet=p.get("snippet", ""),
-            context=p.get("context", ""),
-        )
-        for p in payloads
-    ]
-
-
 class Analyzer:
     """Runs a rule set over a file tree.
 
@@ -205,45 +188,22 @@ class Analyzer:
         select: list[str] | None = None,
         ignore: list[str] | None = None,
         rules: tuple[Rule, ...] | None = None,
-        cache_dir: Path | str | None = None,
-        workers: int | None = None,
         report_only: set[str] | None = None,
     ) -> None:
         self.root = Path(root)
-        self._custom_rules = rules is not None
         self.rules = rules if rules is not None else select_rules(select, ignore)
-        self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        self.workers = workers
         self.report_only = report_only
 
     def analyze_paths(self, paths: list[Path | str]) -> AnalysisResult:
         """Analyze files and directories; returns all raw findings.
 
-        With ``cache_dir`` set (and rules taken from the registry), the
-        run goes through the incremental driver: per-file results are
-        cached by content in the engine's result store and cold work is
-        fanned out over a process pool.  Explicit ``rules=`` instances
-        force the in-process path — workers rebuild rules from the
-        registry by id, which ad-hoc instances may not be in.
-
         Files that fail to parse produce an ``RPR000`` syntax-error
         finding rather than aborting the run.
         """
         files = collect_files([Path(p) for p in paths])
-        if self.cache_dir is not None and not self._custom_rules:
-            from repro.analysis.incremental import IncrementalDriver
-
-            driver = IncrementalDriver(
-                root=self.root,
-                rules=self.rules,
-                cache_dir=self.cache_dir,
-                workers=self.workers,
-            )
-            return self._filter_report(driver.analyze_files(files))
         result = AnalysisResult(files_scanned=len(files))
 
-        parsed: dict[str, tuple[Path, str, ast.Module]] = {}
-        trees_by_rel: dict[str, ast.AST] = {}
+        parsed: dict[str, tuple[Path, str, ast.Module, tuple[ast.AST, ...]]] = {}
         for path in files:
             rel = rel_posix(path, self.root)
             try:
@@ -263,14 +223,15 @@ class Analyzer:
                     )
                 )
                 continue
-            parsed[rel] = (path, source, tree)
-            trees_by_rel[rel] = tree
+            parsed[rel] = (path, source, tree, tuple(ast.walk(tree)))
 
-        graph = build_import_graph(trees_by_rel)
+        graph = build_import_graph(
+            {rel: nodes for rel, (_, _, _, nodes) in parsed.items()}
+        )
         scope = graph.reachable_from(DETERMINISM_ROOTS)
         harvests = [
             harvest_signatures(tree, module_name_for(rel))
-            for rel, (_, _, tree) in parsed.items()
+            for rel, (_, _, tree, _) in parsed.items()
         ]
         project = ProjectContext(
             root=self.root,
@@ -284,23 +245,23 @@ class Analyzer:
         project_rules = tuple(r for r in self.rules if r.scope == "project")
         interval_rules = tuple(r for r in self.rules if r.scope == "intervals")
 
-        suppress_maps: dict[str, dict[int, set[str]]] = {}
-        lines_by_rel: dict[str, list[str]] = {}
-        for rel, (path, source, tree) in parsed.items():
+        contexts: list[FileContext] = []
+        for rel, (path, source, tree, nodes) in parsed.items():
             lines = source.splitlines()
-            suppressions = parse_suppressions(lines, tree)
-            suppress_maps[rel] = suppressions._by_line
-            lines_by_rel[rel] = lines
+            module = module_name_for(rel)
             ctx = FileContext(
                 path=path,
                 rel_path=rel,
                 source=source,
                 lines=lines,
                 tree=tree,
-                module=module_name_for(rel),
+                nodes=nodes,
+                imports=build_import_map(nodes, module),
+                module=module,
                 project=project,
-                suppressions=suppressions,
+                suppressions=parse_suppressions(lines, tree),
             )
+            contexts.append(ctx)
             for rule in file_rules:
                 if not rule.applies_to(ctx):
                     continue
@@ -309,6 +270,10 @@ class Analyzer:
                         result.suppressed.append(finding)
                     else:
                         result.findings.append(finding)
+
+        lines_by_rel = {ctx.rel_path: ctx.lines for ctx in contexts}
+        suppress_maps = {ctx.rel_path: ctx.suppressions._by_line for ctx in contexts}
+        src_contexts = [ctx for ctx in contexts if not ctx.is_test]
 
         callgraph_pass_s = 0.0
         if project_rules:
@@ -320,9 +285,11 @@ class Analyzer:
 
             start = time.perf_counter()
             cg_harvests = {
-                rel: (module_name_for(rel), harvest_callgraph(tree, module_name_for(rel)))
-                for rel, (_, _, tree) in parsed.items()
-                if not is_test_path(rel)
+                ctx.rel_path: (
+                    ctx.module,
+                    harvest_callgraph(ctx.tree, ctx.module, ctx.imports),
+                )
+                for ctx in src_contexts
             }
             snapshot = ProjectSnapshot.build(
                 cg_harvests, lines_by_rel, suppress_maps
@@ -336,6 +303,7 @@ class Analyzer:
 
         range_pass_s = 0.0
         if interval_rules:
+            (range_rule,) = interval_rules  # RPR302 is the one range rule
             from repro.analysis.intervals import (
                 harvest_interval_facts,
                 run_range_pass,
@@ -343,14 +311,19 @@ class Analyzer:
 
             start = time.perf_counter()
             facts = {
-                rel: harvest_interval_facts(
-                    tree, module_name_for(rel), lines_by_rel[rel]
-                )
-                for rel, (_, _, tree) in parsed.items()
-                if not is_test_path(rel)
+                ctx.rel_path: harvest_interval_facts(ctx) for ctx in src_contexts
             }
-            payloads = run_range_pass(facts, project.unit_signatures)
-            for finding in range_findings(interval_rules, payloads):
+            for p in run_range_pass(facts, project.unit_signatures):
+                finding = Finding(
+                    rule=range_rule.id,
+                    path=p["path"],
+                    line=p["line"],
+                    col=p["col"],
+                    message=p["message"],
+                    severity=range_rule.severity,
+                    snippet=p.get("snippet", ""),
+                    context=p.get("context", ""),
+                )
                 covered = finding.rule in suppress_maps.get(
                     finding.path, {}
                 ).get(finding.line, set())
@@ -363,15 +336,11 @@ class Analyzer:
         result.findings.sort(key=Finding.sort_key)
         result.suppressed.sort(key=Finding.sort_key)
         result.stats = {
-            "driver": "in-process",
             "files": len(files),
             "analyzed": len(parsed),
-            "cached": 0,
             "callgraph_rules": len(project_rules),
-            "callgraph_pass": "computed" if project_rules else "skipped",
             "callgraph_pass_s": round(callgraph_pass_s, 4),
             "range_rules": len(interval_rules),
-            "range_pass": "computed" if interval_rules else "skipped",
             "range_pass_s": round(range_pass_s, 4),
         }
         return self._filter_report(result)

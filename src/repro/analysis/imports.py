@@ -5,12 +5,17 @@ The determinism rule only cares about code that can influence
 imports (eagerly *or* lazily inside a function body) can leak
 nondeterminism into a content hash or a worker-side recomputation.
 This module builds that reachable set from the files being analyzed,
-without importing any of them.
+without importing any of them, and the per-file alias map the unit,
+interval, call-graph and hot-path passes resolve names against.
+
+Both helpers take a file's nodes in :func:`ast.walk` order (the
+analyzer walks each tree once and shares the tuple).
 """
 
 from __future__ import annotations
 
 import ast
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path, PurePosixPath
 
@@ -38,7 +43,7 @@ def module_name_for(rel_path: str) -> str | None:
     return ".".join(parts)
 
 
-def imported_modules(tree: ast.AST, module: str) -> set[str]:
+def imported_modules(nodes: Iterable[ast.AST], module: str) -> set[str]:
     """Every module ``module``'s source imports, eager or lazy.
 
     Relative imports resolve against ``module``'s package.  ``from m
@@ -48,7 +53,7 @@ def imported_modules(tree: ast.AST, module: str) -> set[str]:
     """
     package_parts = module.split(".")[:-1]
     out: set[str] = set()
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 out.add(alias.name)
@@ -65,14 +70,42 @@ def imported_modules(tree: ast.AST, module: str) -> set[str]:
     return out
 
 
+def build_import_map(
+    nodes: Iterable[ast.AST], module: str | None
+) -> dict[str, str]:
+    """Local name -> dotted import target, from one file's imports.
+
+    Relative imports are anchored at ``module``'s package.
+    """
+    out: dict[str, str] = {}
+    package = (module or "").split(".")[:-1]
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                out[alias.asname or alias.name.split(".")[0]] = (
+                    alias.name if alias.asname else alias.name.split(".")[0]
+                )
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0:
+                base = node.module or ""
+            else:
+                anchor = package[: len(package) - (node.level - 1)]
+                base = ".".join(anchor + ([node.module] if node.module else []))
+            for alias in node.names:
+                out[alias.asname or alias.name] = (
+                    f"{base}.{alias.name}" if base else alias.name
+                )
+    return out
+
+
 @dataclass
 class ImportGraph:
     """Module-level import graph over the analyzed files."""
 
     edges: dict[str, set[str]] = field(default_factory=dict)
 
-    def add_module(self, module: str, tree: ast.AST) -> None:
-        self.edges[module] = imported_modules(tree, module)
+    def add_module(self, module: str, nodes: Iterable[ast.AST]) -> None:
+        self.edges[module] = imported_modules(nodes, module)
 
     def reachable_from(self, roots: tuple[str, ...]) -> set[str]:
         """Transitive closure over modules present in the graph.
@@ -99,13 +132,13 @@ class ImportGraph:
         return seen
 
 
-def build_import_graph(files: dict[str, ast.AST]) -> ImportGraph:
-    """Graph over ``{rel_path: tree}`` for every path that is a module."""
+def build_import_graph(files: dict[str, Iterable[ast.AST]]) -> ImportGraph:
+    """Graph over ``{rel_path: nodes}`` for every path that is a module."""
     graph = ImportGraph()
-    for rel_path, tree in files.items():
+    for rel_path, nodes in files.items():
         module = module_name_for(rel_path)
         if module is not None:
-            graph.add_module(module, tree)
+            graph.add_module(module, nodes)
     return graph
 
 

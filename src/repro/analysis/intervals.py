@@ -34,11 +34,11 @@ Three diagnostic kinds feed the RPR30x rules:
   whose iterable is an array (directly, or via ``zip``/``enumerate``/
   ``range(len(...))``/``range(x.shape[...])``).
 
-The module also implements the fourth cached analysis layer:
+The module also implements the project-wide range check:
 :func:`harvest_interval_facts` extracts one file's boundary-crossing
 numeric values (call arguments, parameter defaults, module constants)
-as plain JSON — cacheable by content hash — and :func:`run_range_pass`
-checks them against the declared envelopes project-wide (RPR302).
+and :func:`run_range_pass` checks them against the declared envelopes
+across the whole project (RPR302).
 """
 
 from __future__ import annotations
@@ -47,13 +47,7 @@ import ast
 import math
 from dataclasses import dataclass
 
-from repro.analysis.dataflow import build_import_map
 from repro.analysis.unitsig import SignatureTable, unit_from_name
-
-#: Bump when the interval-facts payload shape or the interpretation
-#: semantics change; cached harvests and range passes then read as
-#: misses.
-INTERVALS_VERSION = 1
 
 #: Module prefixes whose code is performance- and NaN-critical.
 HOT_MODULE_PREFIXES = (
@@ -481,14 +475,17 @@ class IntervalInterpreter:
     Args:
         table: the project-wide signature table (with ranges/values).
         module: the file's dotted module name (or None).
+        imports: the file's local-name -> dotted-target import map.
     """
 
-    def __init__(self, table: SignatureTable, module: str | None) -> None:
+    def __init__(
+        self, table: SignatureTable, module: str | None, imports: dict[str, str]
+    ) -> None:
         self.table = table
         self.module = module
         self.hot = is_hot_module(module)
         self.diagnostics: list[NumericDiagnostic] = []
-        self._imports: dict[str, str] = {}
+        self._imports = imports
         #: >0 inside np.errstate bodies / np.where arguments: the
         #: guarded-reciprocal idiom, exempt from domain diagnostics.
         self._suppress = 0
@@ -498,7 +495,6 @@ class IntervalInterpreter:
     # ---- entry point ---------------------------------------------------
 
     def run(self, tree: ast.Module) -> list[NumericDiagnostic]:
-        self._imports = build_import_map(tree, self.module)
         self._guarded = True  # module bodies are not nanflow targets
         self._exec_block(tree.body, {})
         self._analyze_functions(tree, inherited=False)
@@ -1161,15 +1157,16 @@ def _fmt(iv: Interval) -> str:
     return f"{lo}{iv.lo:g}, {iv.hi:g}{hi}"
 
 
-def analyze_intervals(
-    tree: ast.Module, table: SignatureTable, module: str | None
-) -> list[NumericDiagnostic]:
-    """Run the interval pass over one parsed file."""
-    return IntervalInterpreter(table, module).run(tree)
+def analyze_intervals(ctx) -> list[NumericDiagnostic]:
+    """Run the interval pass over one file's analysis context."""
+    interpreter = IntervalInterpreter(
+        ctx.project.unit_signatures, ctx.module, ctx.imports
+    )
+    return interpreter.run(ctx.tree)
 
 
 # ---------------------------------------------------------------------------
-# Interval facts: the fourth cached layer (feeds RPR302).
+# Interval facts and the project-wide range pass (RPR302).
 # ---------------------------------------------------------------------------
 
 
@@ -1193,17 +1190,16 @@ def _fact_value(node: ast.expr) -> dict | None:
     return None
 
 
-def harvest_interval_facts(
-    tree: ast.Module, module: str | None, lines: list[str]
-) -> dict:
-    """One file's boundary-crossing numeric values, JSON-ready.
+def harvest_interval_facts(ctx) -> dict:
+    """One file's boundary-crossing numeric values.
 
-    Pure function of the file's content (plus its path-derived module
-    name), which is what lets the incremental driver cache it by
-    content hash.  Resolution against the signature/range tables
-    happens later, in :func:`run_range_pass`.
+    A function of the file's content (plus its path-derived module
+    name) alone.  Resolution against the signature/range tables happens
+    later, in :func:`run_range_pass`.
     """
-    imports = build_import_map(tree, module)
+    module = ctx.module
+    imports = ctx.imports
+    lines = ctx.lines
 
     def snippet(line: int) -> str:
         return lines[line - 1].strip() if 1 <= line <= len(lines) else ""
@@ -1212,7 +1208,7 @@ def harvest_interval_facts(
     defaults: list[dict] = []
     calls: list[dict] = []
 
-    for stmt in tree.body:
+    for stmt in ctx.tree.body:
         if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
             targets = (
                 stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
@@ -1234,7 +1230,7 @@ def harvest_interval_facts(
                         }
                     )
 
-    for node in ast.walk(tree):
+    for node in ctx.nodes:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             a = node.args
             positional = [*a.posonlyargs, *a.args]
@@ -1348,8 +1344,8 @@ def run_range_pass(
     """Check harvested interval facts against the declared envelopes.
 
     Returns RPR302 finding payloads (plain dicts with ``path``/``line``
-    /``col``/``message``/``snippet``/``context``), ready for either
-    driver to turn into findings and filter through suppressions.
+    /``col``/``message``/``snippet``/``context``), which the analyzer
+    turns into findings and filters through suppressions.
     """
     out: list[dict] = []
 

@@ -133,7 +133,7 @@ class AsyncBlockingRule(Rule):
         )
 
     def check(self, ctx) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, ast.AsyncFunctionDef):
                 yield from self._check_coroutine(ctx, node)
 

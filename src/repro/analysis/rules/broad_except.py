@@ -52,7 +52,7 @@ class BroadExceptRule(Rule):
         return not ctx.is_test
 
     def check(self, ctx) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.ExceptHandler):
                 continue
             if _reraises(node):

@@ -50,7 +50,7 @@ class ConstantsAuditRule(Rule):
         return not ctx.is_test and ctx.path.name != "constants.py"
 
     def check(self, ctx) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Constant):
                 continue
             value = node.value

@@ -94,7 +94,7 @@ class DeterminismRule(Rule):
         return ctx.in_determinism_scope
 
     def check(self, ctx) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, ast.Call):
                 yield from self._check_call(ctx, node)
             elif isinstance(node, (ast.For, ast.AsyncFor)):

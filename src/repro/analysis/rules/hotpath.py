@@ -102,10 +102,7 @@ class ScalarMathCallRule(HotPathRuleBase):
     )
 
     def check(self, ctx) -> Iterator[Finding]:
-        from repro.analysis.dataflow import build_import_map
-
-        imports = build_import_map(ctx.tree, ctx.module)
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
@@ -114,7 +111,7 @@ class ScalarMathCallRule(HotPathRuleBase):
                 and isinstance(func.value, ast.Name)
             ):
                 continue
-            if imports.get(func.value.id) != "math":
+            if ctx.imports.get(func.value.id) != "math":
                 continue
             if func.attr not in _MATH_UFUNCS:
                 continue
@@ -187,11 +184,8 @@ class RedundantArrayCopyRule(HotPathRuleBase):
     )
 
     def check(self, ctx) -> Iterator[Finding]:
-        from repro.analysis.dataflow import build_import_map
-
-        imports = build_import_map(ctx.tree, ctx.module)
         numpy_names = {
-            alias for alias, target in imports.items() if target == "numpy"
+            alias for alias, target in ctx.imports.items() if target == "numpy"
         }
         if not numpy_names:
             return
@@ -199,7 +193,7 @@ class RedundantArrayCopyRule(HotPathRuleBase):
         # Names bound from numpy calls / int-dtype creations, per scope.
         array_names: set[str] = set()
         int_array_names: set[str] = set()
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, ast.Assign) and len(node.targets) == 1:
                 target = node.targets[0]
                 if not isinstance(target, ast.Name):
@@ -220,7 +214,7 @@ class RedundantArrayCopyRule(HotPathRuleBase):
                     if dtype_kw is not None and _is_int_dtype(dtype_kw):
                         int_array_names.add(target.id)
 
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, ast.Call):
                 tail = _np_call_tail(node, numpy_names)
                 # np.array(x) where x is provably already an ndarray.

@@ -80,8 +80,7 @@ class DeclaredRangeRule(IntervalRuleBase):
     name = "out-of-declared-range"
     severity = Severity.ERROR
     #: Findings come from the project-wide range pass over harvested
-    #: interval facts (the fourth cached layer), not from per-file
-    #: interpretation.
+    #: interval facts, not from per-file interpretation.
     scope = "intervals"
     description = (
         "numeric value crossing a module boundary (call argument, "

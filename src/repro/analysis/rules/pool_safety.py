@@ -101,7 +101,7 @@ class PoolSafetyRule(Rule):
 
     def check(self, ctx) -> Iterator[Finding]:
         local_defs = _local_defs(ctx.tree)
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, ast.Call):
                 yield from self._check_submit(ctx, node, local_defs)
         yield from self._check_job_classes(ctx)

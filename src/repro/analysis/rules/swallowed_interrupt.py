@@ -71,7 +71,7 @@ class SwallowedInterruptRule(Rule):
     )
 
     def check(self, ctx) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.ExceptHandler):
                 continue
             if _reraises(node):

@@ -128,7 +128,7 @@ class UnitSuffixRule(Rule):
         return not ctx.is_test
 
     def check(self, ctx) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 yield from self._check_signature(ctx, node)
             elif isinstance(node, ast.ClassDef):

@@ -17,9 +17,8 @@ this module provides without importing any analyzed code:
   ``CONSTANT_UNITS`` table is read straight from its AST dict literal,
   so explicitly annotated constants override name inference.
 
-Everything harvested is plain JSON-able data, which is what lets the
-incremental driver cache one file's harvest by content hash and rebuild
-the cross-module signature table without re-parsing unchanged files.
+Everything harvested is plain JSON-able data, merged into one
+cross-module signature table per run.
 """
 
 from __future__ import annotations
@@ -446,26 +445,6 @@ class SignatureTable:
             methods=methods,
             values=values,
             ranges=ranges,
-        )
-
-    def as_payload(self) -> dict:
-        """JSON-able form (for cache keys and worker transport)."""
-        return {
-            "functions": self.functions,
-            "constants": self.constants,
-            "methods": self.methods,
-            "values": self.values,
-            "ranges": self.ranges,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "SignatureTable":
-        return cls(
-            functions=payload.get("functions", {}),
-            constants=payload.get("constants", {}),
-            methods=payload.get("methods", {}),
-            values=payload.get("values", {}),
-            ranges=payload.get("ranges", {}),
         )
 
     def constant_unit(self, name: str) -> Unit | None:

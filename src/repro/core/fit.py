@@ -81,10 +81,13 @@ class FitAccount:
         total_w = sum(w for _, w in accounts)
         if total_w <= 0.0:
             raise ReliabilityError("weights must sum to a positive value")
-        keys = set(accounts[0][0].entries)
-        merged = {k: 0.0 for k in keys}
+        # Insertion order, not set order: the merged ledger's key order
+        # fixes the float order of ``total``/``by_mechanism`` and the
+        # Monte Carlo draw order downstream, so it must not follow the
+        # string hash seed.
+        merged = dict.fromkeys(accounts[0][0].entries, 0.0)
         for account, weight in accounts:
-            if set(account.entries) != keys:
+            if account.entries.keys() != merged.keys():
                 raise ReliabilityError("FIT accounts have mismatched keys")
             for k, fit in account.entries.items():
                 merged[k] += fit * (weight / total_w)

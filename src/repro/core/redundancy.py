@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.fit import FitAccount
-from repro.core.lifetime import LifetimeDistribution, LognormalLifetime
+from repro.lifetime.distributions import LifetimeDistribution, LognormalLifetime
 from repro.errors import ReliabilityError
 
 

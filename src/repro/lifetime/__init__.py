@@ -14,8 +14,7 @@ one time-averaged FIT number.  This package models lifetime as a
 - :mod:`repro.lifetime.adversary` — seeded random/greedy/annealed search
   for wear-maximizing schedules the controller must survive;
 - :mod:`repro.lifetime.distributions` — the static lifetime
-  distributions and Monte Carlo series-system solver (formerly
-  ``repro.core.lifetime``).
+  distributions and Monte Carlo series-system solver.
 
 Quickstart::
 
@@ -44,9 +43,9 @@ from repro.lifetime.distributions import (
 )
 
 # The simulator and adversary import the controller/redundancy layer,
-# which itself imports the distributions above through the
-# ``repro.core.lifetime`` shim — so they must load lazily (PEP 562) to
-# keep that shim cycle-free.
+# which itself imports ``repro.lifetime.distributions`` (and so this
+# package) — so they must load lazily (PEP 562) to keep the package
+# import cycle-free.
 _LAZY = {
     "AdversaryResult": "repro.lifetime.adversary",
     "AdversarySearch": "repro.lifetime.adversary",

@@ -2,8 +2,8 @@
 
 Each test builds a :class:`~repro.analysis.callgraph.CallGraph` straight
 from source text via :func:`harvest_callgraph` — the same two-stage path
-(per-file harvest, then merged resolution) that both analysis drivers
-use — and asserts on the resolved edges and derived colorings.
+(per-file harvest, then merged resolution) that the analyzer uses —
+and asserts on the resolved edges and derived colorings.
 """
 
 import ast
@@ -11,15 +11,20 @@ import textwrap
 
 from repro.analysis.callgraph import CallGraph, harvest_callgraph
 from repro.analysis.concurrency import ConcurrencyModel
+from repro.analysis.imports import build_import_map
+
+
+def harvest(tree: ast.Module, module: str) -> dict:
+    return harvest_callgraph(tree, module, build_import_map(ast.walk(tree), module))
 
 
 def build(sources: dict[str, str]) -> CallGraph:
-    """``{module: source}`` -> merged graph, mirroring the drivers."""
+    """``{module: source}`` -> merged graph, mirroring the analyzer."""
     harvests = {}
     for module, text in sources.items():
         rel = module.replace(".", "/") + ".py"
         tree = ast.parse(textwrap.dedent(text))
-        harvests[rel] = (module, harvest_callgraph(tree, module))
+        harvests[rel] = (module, harvest(tree, module))
     return CallGraph.build(harvests)
 
 
@@ -240,7 +245,7 @@ class TestHarvestPayload:
                     with self.lock:
                         self.items.append(item)
         """))
-        payload = harvest_callgraph(tree, "pkg.box")
+        payload = harvest(tree, "pkg.box")
         assert json.loads(json.dumps(payload)) == payload
         init = payload["functions"]["Box.__init__"]
         writes = {w["attr"]: w.get("type") for w in init["writes"]}

@@ -215,15 +215,17 @@ class TestStatsJson:
         out = tmp_path / "stats.json"
         assert main(["analyze", "--stats-json", str(out)]) == 0
         payload = json.loads(out.read_text(encoding="utf-8"))
-        assert payload["driver"] in ("incremental", "in-process")
+        assert payload["files"] == payload["analyzed"] == 2
         assert payload["duration_s"] >= 0.0
-        assert "files" in payload
-
-    def test_warm_run_reports_cache_layers(self, project, tmp_path):
-        project()
-        out = tmp_path / "stats.json"
-        assert main(["analyze", "--stats-json", str(out)]) == 0
-        assert main(["analyze", "--stats-json", str(out)]) == 0
+        assert payload["files_per_s"] > 0.0
+        assert payload["callgraph_rules"] > 0
+        assert payload["range_rules"] == 1
+        assert payload["callgraph_pass_s"] >= 0.0
+        assert payload["range_pass_s"] >= 0.0
+        # A file-only rule selection skips both project passes.
+        assert main(["analyze", "--select", "RPR101",
+                     "--stats-json", str(out)]) == 0
         payload = json.loads(out.read_text(encoding="utf-8"))
-        assert payload["cached"] == payload["files"]
-        assert payload["harvest_hits"] == payload["files"]
+        assert payload["callgraph_rules"] == payload["range_rules"] == 0
+        assert not payload["callgraph_pass_s"]
+        assert not payload["range_pass_s"]

@@ -1,6 +1,13 @@
 """Tests for FIT accounting and the SOFR model."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.core.fit import FitAccount, sofr_total_fit
 from repro.errors import ReliabilityError
@@ -91,3 +98,46 @@ class TestTimeAveraging:
         a = FitAccount({("EM", "fpu"): 1.0})
         with pytest.raises(ReliabilityError):
             FitAccount.weighted_average([(a, 0.0)])
+
+
+#: Averages two FIT ledgers and solves one A10 row (Weibull series
+#: system by Monte Carlo) from the result; prints every float as hex.
+_HASH_SEED_PROBE = """
+from repro.core.fit import FitAccount
+from repro.lifetime.distributions import (
+    WeibullLifetime, component_mttfs_from_account, series_system_mttf,
+)
+mechs = ("EM", "SM", "TDDB", "TC")
+structs = ("fpu", "ialu", "l1d", "l1i", "bpred", "lsq", "rob", "regfile")
+def account(scale):
+    return FitAccount({
+        (m, s): scale * (i + 1.7) / (j + 3.1)
+        for i, m in enumerate(mechs) for j, s in enumerate(structs)
+    })
+avg = FitAccount.weighted_average([(account(1.0), 0.3), (account(2.7), 0.7)])
+row = series_system_mttf(
+    component_mttfs_from_account(avg), WeibullLifetime(2.0),
+    n_samples=2000, seed=11,
+)
+print(avg.total.hex())
+print([(m, f.hex()) for m, f in sorted(avg.by_mechanism().items())])
+print(row.mttf_hours.hex(), row.std_error_hours.hex(), row.sofr_mttf_hours.hex())
+"""
+
+
+def _probe(hash_seed: str) -> str:
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, "-c", _HASH_SEED_PROBE],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+
+
+class TestHashSeedIndependence:
+    def test_average_and_series_row_are_bitwise_stable(self):
+        # The merged ledger's key order feeds the float summation order
+        # of total/by_mechanism and the Monte Carlo draw order; none of
+        # it may depend on string hashing.
+        assert _probe("0") == _probe("1")

@@ -44,11 +44,12 @@ class TestSubpackageExports:
         "module",
         [
             "repro.core.intra", "repro.core.online", "repro.core.combined",
-            "repro.core.scaling", "repro.core.tradeoff", "repro.core.lifetime",
+            "repro.core.scaling", "repro.core.tradeoff",
             "repro.core.budget", "repro.core.sensors", "repro.core.controllers",
             "repro.harness.validation", "repro.workloads.analysis",
             "repro.workloads.tracefile", "repro.thermal.report", "repro.cli",
             "repro.lifetime", "repro.lifetime.damage",
+            "repro.lifetime.distributions",
             "repro.lifetime.simulator", "repro.lifetime.adversary",
             "repro.kernels.wear",
         ],
@@ -120,6 +121,7 @@ class TestDocstringCoverage:
             "repro.core.ramp", "repro.core.qualification", "repro.core.drm",
             "repro.core.dtm", "repro.harness.platform",
             "repro.lifetime", "repro.lifetime.damage",
+            "repro.lifetime.distributions",
             "repro.lifetime.simulator", "repro.lifetime.adversary",
             "repro.kernels.wear",
         ],
