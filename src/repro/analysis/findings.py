@@ -88,8 +88,8 @@ class AnalysisResult:
             debt that should be ratcheted out of the baseline file).
         files_scanned: number of files analyzed.
         parse_errors: files that could not be parsed (also findings).
-        stats: driver statistics (cache hits, worker count, ...); shape
-            depends on which driver produced the result.
+        stats: run statistics (file counts, project-pass rule counts
+            and seconds) for ``--stats``/``--stats-json``.
     """
 
     findings: list[Finding] = field(default_factory=list)
