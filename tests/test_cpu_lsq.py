@@ -72,6 +72,52 @@ class TestForwarding:
         q.insert(1, is_store=False)
         assert q.forwarding_store(1, 0x100) is False
 
+    def test_two_stores_to_one_address_after_the_older_retires(self):
+        q = LoadStoreQueue()
+        q.insert(0, is_store=True)
+        q.insert(1, is_store=True)
+        q.insert(2, is_store=False)
+        q.set_address(0, 0x100)
+        q.set_address(1, 0x100)
+        q.remove(0)
+        assert q.forwarding_store(2, 0x100) is True
+        q.remove(1)
+        assert q.forwarding_store(2, 0x100) is False
+        assert q.forwards == 1
+
+    def test_only_stores_older_than_the_load_forward(self):
+        q = LoadStoreQueue()
+        q.insert(0, is_store=True)
+        q.insert(1, is_store=False)
+        q.insert(2, is_store=True)
+        q.set_address(2, 0x100)
+        assert q.forwarding_store(1, 0x100) is False
+        q.set_address(0, 0x100)
+        assert q.forwarding_store(1, 0x100) is True
+        q.remove(0)
+        assert q.forwarding_store(1, 0x100) is False
+
+    def test_store_address_known_after_a_younger_load_checked(self):
+        q = LoadStoreQueue()
+        q.insert(0, is_store=True)
+        q.insert(1, is_store=False)
+        q.insert(2, is_store=False)
+        q.set_address(1, 0x80)
+        assert q.forwarding_store(1, 0x80) is False  # store 0 still unknown
+        q.set_address(0, 0x80)
+        q.set_address(2, 0x80)
+        assert q.forwarding_store(2, 0x80) is True
+        assert (q.searches, q.forwards) == (2, 1)
+
+    def test_reissued_load_may_change_its_address(self):
+        q = LoadStoreQueue()
+        q.insert(0, is_store=True)
+        q.insert(1, is_store=False)
+        q.set_address(0, 0x40)
+        q.set_address(1, 0x80)
+        q.set_address(1, 0x40)
+        assert q.forwarding_store(1, 0x40) is True
+
     def test_loads_never_forward(self):
         q = LoadStoreQueue()
         q.insert(0, is_store=False)
