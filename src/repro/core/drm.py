@@ -199,6 +199,10 @@ class DRMOracle(Oracle):
         cands = self.candidates(mode)
         if not cands:
             raise AdaptationError("adaptation space is empty")
+        # Fetch every simulation the space needs in one call, so a cold
+        # decision prepares the profile once for all its configurations.
+        configs = list(dict.fromkeys(config for config, _ in cands))
+        runs = self.cache.run_many([profile], configs, max_workers=1)
         base_ips = self.base_evaluation(profile).ips
         perf_parts = []
         fit_parts = []
@@ -207,7 +211,7 @@ class DRMOracle(Oracle):
         # batched evaluation.
         for config, group in itertools.groupby(cands, key=lambda ca: ca[0]):
             ops = [op for _, op in group]
-            run = self.cache.run(profile, config)
+            run = runs[(profile.name, config.describe())]
             batch = self.platform.evaluate_batch(run, ops)
             perf_parts.append(batch.ips / base_ips)
             fit_parts.append(ramp.application_fit_batch(batch))

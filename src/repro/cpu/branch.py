@@ -40,25 +40,31 @@ class BimodalAgreePredictor:
         self.n_counters = size_bytes * 4
         if self.n_counters & (self.n_counters - 1):
             raise ConfigurationError("counter count must be a power of two")
+        self._mask = self.n_counters - 1
+        # One byte per entry in plain bytearrays: the pipeline updates the
+        # predictor on every fetched branch, and indexing a bytearray
+        # yields a Python int where a numpy array would box a scalar.
         # Counters start weakly-agree: biased branches predict well
         # immediately, which is what warmed-up hardware looks like.
-        self.counters = np.full(self.n_counters, _AGREE_THRESHOLD, dtype=np.int8)
-        self.bias = np.zeros(self.n_counters, dtype=bool)
-        self.bias_valid = np.zeros(self.n_counters, dtype=bool)
+        self._counters = bytearray([_AGREE_THRESHOLD]) * self.n_counters
+        self._bias = bytearray(self.n_counters)
+        self._bias_valid = bytearray(self.n_counters)
         self.lookups = 0
         self.mispredicts = 0
 
-    def _index(self, pc: int) -> int:
-        return (pc >> 2) & (self.n_counters - 1)
+    @property
+    def counters(self) -> np.ndarray:
+        """The 2-bit agree counters (an int8 view, no copy)."""
+        return np.frombuffer(self._counters, dtype=np.int8)
 
     def predict(self, pc: int) -> bool:
         """Predict the outcome of the branch at ``pc`` (True = taken)."""
-        i = self._index(pc)
-        if not self.bias_valid[i]:
+        i = (pc >> 2) & self._mask
+        if not self._bias_valid[i]:
             # Unseen branch: static not-taken prediction.
             return False
-        agree = bool(self.counters[i] >= _AGREE_THRESHOLD)
-        return bool(self.bias[i]) == agree
+        agree = self._counters[i] >= _AGREE_THRESHOLD
+        return bool(self._bias[i]) == agree
 
     def update(self, pc: int, taken: bool) -> bool:
         """Record the actual outcome; returns True if it was mispredicted.
@@ -68,14 +74,17 @@ class BimodalAgreePredictor:
         """
         self.lookups += 1
         prediction = self.predict(pc)
-        i = self._index(pc)
-        if not self.bias_valid[i]:
-            self.bias[i] = taken
-            self.bias_valid[i] = True
-        agreed = bool(taken) == bool(self.bias[i])
-        c = int(self.counters[i])
-        self.counters[i] = min(_COUNTER_MAX, c + 1) if agreed else max(0, c - 1)
-        mispredicted = bool(prediction) != bool(taken)
+        i = (pc >> 2) & self._mask
+        taken = bool(taken)
+        if not self._bias_valid[i]:
+            self._bias[i] = taken
+            self._bias_valid[i] = 1
+        c = self._counters[i]
+        if taken == bool(self._bias[i]):
+            self._counters[i] = min(_COUNTER_MAX, c + 1)
+        else:
+            self._counters[i] = max(0, c - 1)
+        mispredicted = prediction != taken
         if mispredicted:
             self.mispredicts += 1
         return mispredicted

@@ -60,6 +60,11 @@ OP_LATENCY: dict[OpClass, OpTiming] = {
 }
 
 
+#: :data:`OP_LATENCY` indexed by the op's integer value, for the
+#: pipeline's issue loop: no :class:`OpClass` is built per lookup.
+OP_TIMING: tuple[OpTiming, ...] = tuple(OP_LATENCY[OpClass(v)] for v in range(len(OpClass)))
+
+
 def fu_kind_for(op: OpClass) -> FuKind:
     """The functional-unit pool an op class executes on."""
     return OP_LATENCY[op].fu

@@ -11,20 +11,15 @@ retire.  It provides the two behaviours that matter for timing:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.errors import ConfigurationError, SimulationError
-
-
-@dataclass
-class _Entry:
-    seq: int
-    is_store: bool
-    addr: int | None = None  # filled in when address generation completes
 
 
 class LoadStoreQueue:
     """In-order queue of in-flight memory operations.
+
+    Entries are kept by sequence number, and the stores whose addresses
+    are known are also indexed by address, so a forwarding check looks at
+    the stores to one address instead of scanning the whole queue.
 
     Args:
         capacity: maximum in-flight memory instructions (Table 1: 32).
@@ -34,7 +29,10 @@ class LoadStoreQueue:
         if capacity <= 0:
             raise ConfigurationError("LSQ capacity must be positive")
         self.capacity = capacity
-        self._entries: dict[int, _Entry] = {}
+        #: seq -> [is_store, address or None until generated].
+        self._entries: dict[int, list] = {}
+        #: address -> sequence numbers of the queued stores to it.
+        self._stores: dict[int, list[int]] = {}
         self.inserts = 0
         self.searches = 0
         self.forwards = 0
@@ -58,15 +56,19 @@ class LoadStoreQueue:
             raise SimulationError("LSQ insert while full")
         if seq in self._entries:
             raise SimulationError(f"duplicate LSQ entry {seq}")
-        self._entries[seq] = _Entry(seq=seq, is_store=is_store)
+        self._entries[seq] = [is_store, None]
         self.inserts += 1
 
     def set_address(self, seq: int, addr: int) -> None:
         """Record the generated address for an entry."""
         try:
-            self._entries[seq].addr = addr
+            entry = self._entries[seq]
         except KeyError:
             raise SimulationError(f"no LSQ entry {seq}") from None
+        if entry[0]:
+            self._unindex(seq, entry[1])
+            self._stores.setdefault(addr, []).append(seq)
+        entry[1] = addr
 
     def forwarding_store(self, seq: int, addr: int) -> bool:
         """Check store-to-load forwarding for the load ``seq`` at ``addr``.
@@ -78,10 +80,7 @@ class LoadStoreQueue:
         small, and we ignore it — the approximation is noted in DESIGN.md.
         """
         self.searches += 1
-        match = any(
-            e.is_store and e.addr == addr and e.seq < seq
-            for e in self._entries.values()
-        )
+        match = any(store < seq for store in self._stores.get(addr, ()))
         if match:
             self.forwards += 1
         return match
@@ -92,6 +91,17 @@ class LoadStoreQueue:
         Raises:
             SimulationError: if ``seq`` is not present.
         """
-        if seq not in self._entries:
+        entry = self._entries.pop(seq, None)
+        if entry is None:
             raise SimulationError(f"retiring unknown LSQ entry {seq}")
-        del self._entries[seq]
+        if entry[0]:
+            self._unindex(seq, entry[1])
+
+    def _unindex(self, seq: int, addr: int | None) -> None:
+        """Drop a store from the address index (no-op before its agen)."""
+        if addr is None:
+            return
+        stores = self._stores[addr]
+        stores.remove(seq)
+        if not stores:
+            del self._stores[addr]

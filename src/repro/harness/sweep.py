@@ -37,6 +37,7 @@ from repro.cpu.simulator import (
     DEFAULT_INSTRUCTIONS,
     DEFAULT_WARMUP,
     CycleSimulator,
+    WorkloadPreparation,
     WorkloadRun,
 )
 from repro.engine.jobs import simulate_cache_key
@@ -81,7 +82,11 @@ class SimulationCache:
         )
 
     def run(
-        self, profile: WorkloadProfile, config: MicroarchConfig = BASE_MICROARCH
+        self,
+        profile: WorkloadProfile,
+        config: MicroarchConfig = BASE_MICROARCH,
+        *,
+        preparation: WorkloadPreparation | None = None,
     ) -> WorkloadRun:
         """Return the (possibly cached) cycle-level run.
 
@@ -89,14 +94,20 @@ class SimulationCache:
         simulation.  Undecodable store entries are struck (self-healed
         first, quarantined on a repeat) and the simulation re-runs —
         corruption degrades to recomputation, never to an exception.
+        A simulation draws on ``preparation`` when given (see
+        :meth:`run_many`); a cached run never touches it.
         """
         key = self._key(profile, config)
         return self.memory.get_or_compute(
-            key, lambda: self._load_or_simulate(key, profile, config)
+            key, lambda: self._load_or_simulate(key, profile, config, preparation)
         )
 
     def _load_or_simulate(
-        self, key: str, profile: WorkloadProfile, config: MicroarchConfig
+        self,
+        key: str,
+        profile: WorkloadProfile,
+        config: MicroarchConfig,
+        preparation: WorkloadPreparation | None,
     ) -> WorkloadRun:
         if self.store is not None:
             run, _ = self.store.load(
@@ -110,7 +121,7 @@ class SimulationCache:
             warmup=self.warmup,
             seed=self.seed,
         )
-        run = simulator.run(profile)
+        run = simulator.run(profile, preparation)
         if self.store is not None:
             self.store.put(key, "simulate", encode_workload_run(run))
         return run
@@ -125,10 +136,14 @@ class SimulationCache:
 
         Suite profiles only (the engine addresses them by name).  With a
         disk store the simulations fan out across worker processes and
-        land in the shared store; without one the pairs run serially
-        in-process (worker memory would be unreachable).  Either way the
-        in-memory memo ends up warm and the returned runs are identical
-        to what sequential :meth:`run` calls would produce.
+        land in the shared store; without one, or with ``max_workers=1``,
+        the pairs run serially in-process (worker memory would be
+        unreachable).  The serial path prepares each profile once — its
+        static program, preloaded hierarchy and traces (see
+        :class:`~repro.cpu.simulator.WorkloadPreparation`) — for all of
+        its configurations, and keeps none of it after returning.  Either
+        way the in-memory memo ends up warm and the returned runs are
+        identical to what sequential :meth:`run` calls would produce.
 
         Returns ``{(profile.name, config.describe()): WorkloadRun}``.
         """
@@ -139,11 +154,14 @@ class SimulationCache:
         profiles = list(profiles)
         configs = list(configs)
         if self.store is None or max_workers == 1:
-            return {
-                (p.name, c.describe()): self.run(p, c)
-                for p in profiles
-                for c in configs
-            }
+            runs = {}
+            for p in profiles:
+                preparation = WorkloadPreparation(
+                    p, self.instructions, self.warmup, self.seed, uses=len(configs)
+                )
+                for c in configs:
+                    runs[(p.name, c.describe())] = self.run(p, c, preparation=preparation)
+            return runs
         engine = Engine(store_dir=self.disk_dir, max_workers=max_workers)
         engine.simulate_many(
             [p.name for p in profiles],

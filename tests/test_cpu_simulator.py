@@ -3,7 +3,8 @@
 import pytest
 
 from repro.config.microarch import BASE_MICROARCH, MicroarchConfig
-from repro.cpu.simulator import CycleSimulator
+from repro.cpu.simulator import CycleSimulator, WorkloadPreparation
+from repro.engine.store import encode_workload_run
 from repro.errors import SimulationError
 from repro.workloads.suite import workload_by_name
 
@@ -69,3 +70,30 @@ class TestCycleSimulator:
         trace = gen.phase_trace(MPG.phases[0], 2500)
         cold_stats = PipelineEngine(trace, BASE_MICROARCH).run()
         assert warm.phases[0].stats.l1d_miss_rate < cold_stats.l1d_miss_rate
+
+
+class TestWorkloadPreparation:
+    def test_shared_preparation_is_bit_identical(self):
+        configs = (BASE_MICROARCH, MicroarchConfig(window_size=16, n_ialu=2, n_fpu=1))
+        shared = WorkloadPreparation(TWOLF, 1500, 300, seed=5, uses=len(configs))
+        for config in configs:
+            simulator = CycleSimulator(config, instructions=1500, warmup=300, seed=5)
+            assert encode_workload_run(simulator.run(TWOLF, shared)) == encode_workload_run(
+                simulator.run(TWOLF)
+            )
+
+    def test_used_up_preparation_is_rejected(self):
+        simulator = CycleSimulator(instructions=1000, warmup=0)
+        preparation = WorkloadPreparation(TWOLF, 1000, 0, seed=simulator.seed)
+        simulator.run(TWOLF, preparation)
+        with pytest.raises(SimulationError, match="used up"):
+            simulator.run(TWOLF, preparation)
+
+    @pytest.mark.parametrize(
+        "profile, instructions, warmup, seed",
+        [(MPG, 1000, 0, 42), (TWOLF, 2000, 0, 42), (TWOLF, 1000, 100, 42), (TWOLF, 1000, 0, 7)],
+    )
+    def test_mismatched_preparation_is_rejected(self, profile, instructions, warmup, seed):
+        preparation = WorkloadPreparation(profile, instructions, warmup, seed)
+        with pytest.raises(SimulationError, match="does not match"):
+            CycleSimulator(instructions=1000, warmup=0, seed=42).run(TWOLF, preparation)
