@@ -16,7 +16,7 @@ from repro.cpu.isa import OP_LATENCY, FuKind, fu_kind_for
 from repro.cpu.branch import BimodalAgreePredictor, ReturnAddressStack
 from repro.cpu.caches import Cache, MemoryHierarchy, AccessResult, MSHRFile
 from repro.cpu.lsq import LoadStoreQueue
-from repro.cpu.simulator import CycleSimulator, simulate_trace
+from repro.cpu.simulator import CycleSimulator, WorkloadPreparation, simulate_trace
 from repro.cpu.stats import SimulationStats
 from repro.cpu.analytical import FrequencyScalingModel
 
@@ -32,6 +32,7 @@ __all__ = [
     "MSHRFile",
     "LoadStoreQueue",
     "CycleSimulator",
+    "WorkloadPreparation",
     "simulate_trace",
     "SimulationStats",
     "FrequencyScalingModel",

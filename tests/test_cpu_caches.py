@@ -83,6 +83,14 @@ class TestCacheBehaviour:
     def test_miss_rate_zero_without_accesses(self):
         assert Cache("c", 4096, 2).miss_rate == pytest.approx(0.0)
 
+    def test_touch_hits_without_filling(self):
+        c = Cache("t", size_bytes=4 * 64, assoc=2)
+        assert c.touch(5) is False
+        assert (c.hits, c.misses, c.contains(5)) == (0, 0, False)
+        c.lookup(5)
+        assert c.touch(5, write=True) is True
+        assert c.hits == 1
+
     def test_sets_isolate_addresses(self):
         c = Cache("c", 4 * 64, 2)  # 2 sets
         c.lookup(0)
@@ -130,6 +138,13 @@ class TestMSHR:
     def test_invalid_count_rejected(self):
         with pytest.raises(ConfigurationError):
             MSHRFile(0)
+
+    def test_misses_expire_in_completion_order(self):
+        m = MSHRFile(3)
+        m.try_allocate(1, 0, 30)
+        m.try_allocate(2, 0, 10)
+        m.try_allocate(3, 5, 20)
+        assert [m.occupancy(c) for c in (9, 10, 19, 20, 30)] == [3, 2, 2, 1, 0]
 
 
 class TestHierarchyLatencies:
@@ -193,3 +208,19 @@ class TestMemoryHierarchy:
         res = h.inst_access(0)
         # L1I misses but the unified L2 already has the block.
         assert res.level == Level.L2
+
+    def test_copy_is_independent(self):
+        h = MemoryHierarchy()
+        for block in range(40):
+            h.data_access(block * 64, cycle=0)
+        h.data_access(0, cycle=200, write=True)
+        twin = h.copy()
+        assert (twin.l1d.hits, twin.l1d.misses) == (h.l1d.hits, h.l1d.misses)
+        assert twin.dmshr.occupancy(0) == h.dmshr.occupancy(0)
+        # Evict block 0 (dirty) from the copy's L1D only.
+        for k in range(1, 3):
+            twin.data_access(k * 64 * twin.l1d.n_sets, cycle=300 * k)
+        assert twin.l1d.writebacks == 1
+        assert h.l1d.writebacks == 0
+        assert h.l1d.contains(0) and not twin.l1d.contains(0)
+        assert h.data_access(0, cycle=1000).level == Level.L1
