@@ -449,25 +449,28 @@ class JobExecutor:
                 for job in batch:
                     attempts[job.cache_key] += 1
                 starts = {job.cache_key: time.monotonic() for job in batch}
-                futures = [
-                    (
-                        job,
-                        pool.submit(
+                futures = []
+                for job in batch:
+                    try:
+                        future = pool.submit(
                             _worker_run,
                             job,
                             store_dir,
                             attempts[job.cache_key],
                             parent_pid,
-                        ),
-                    )
-                    for job in batch
-                ]
+                        )
+                    except BrokenProcessPool:
+                        # A worker died before this job was even queued
+                        # (an earlier job of the batch crashed it).
+                        pool_broken = True
+                        future = None
+                    futures.append((job, future))
                 for job, future in futures:
                     key = job.cache_key
                     if pool_broken:
                         # Pool already condemned: anything unresolved is a
                         # casualty — requeued uncharged, incident noted.
-                        if not future.done() or future.cancelled():
+                        if future is None or not future.done() or future.cancelled():
                             queue.append(job)
                             attempts[key] -= 1  # attempt never concluded
                             incidents[key] += 1
