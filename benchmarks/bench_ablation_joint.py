@@ -47,7 +47,7 @@ def reproduce(drm_oracle, dtm_oracle):
                 "joint_perf": j.performance,
                 "drm_breaks_thermal": drm_peak > TEMP + 1e-6,
                 "dtm_breaks_fit": dtm_fit > drm_oracle.fit_target + 1e-6,
-                "joint_ok": j.feasible,
+                "joint_ok": j.meets_target,
             }
         )
     return rows

@@ -47,7 +47,7 @@ import ast
 import math
 from dataclasses import dataclass
 
-from repro.analysis.unitsig import SignatureTable, unit_from_name
+from repro.analysis.unitsig import SignatureTable
 
 #: Module prefixes whose code is performance- and NaN-critical.
 HOT_MODULE_PREFIXES = (

@@ -129,9 +129,5 @@ class TechnologyParameters:
         """Edge length of the (square) core die in millimetres."""
         return math.sqrt(self.core_area_mm2)
 
-    def structure_area_total_mm2(self) -> float:
-        """Sum of the structure areas (should equal ``core_area_mm2``)."""
-        return sum(s.area_mm2 for s in STRUCTURES)
-
 
 DEFAULT_TECHNOLOGY = TechnologyParameters()

@@ -182,11 +182,6 @@ def celsius_to_kelvin(celsius: float) -> float:
     return celsius + 273.15
 
 
-def kelvin_to_celsius(kelvin: float) -> float:
-    """Convert a temperature from kelvin to degrees Celsius."""
-    return kelvin - 273.15
-
-
 def validate_temperature(kelvin: float, *, what: str = "temperature") -> float:
     """Check a temperature is physically plausible and return it.
 

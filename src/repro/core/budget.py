@@ -99,9 +99,3 @@ class ReliabilityBudget:
         if remaining_hours <= 0.0:
             raise ReliabilityError("lifetime horizon exhausted")
         return max(0.0, self.remaining_budget() / remaining_hours)
-
-    def can_afford(self, fit: float, duration_hours: float) -> bool:
-        """Whether an excursion keeps the whole-horizon budget intact."""
-        if fit < 0.0 or duration_hours <= 0.0:
-            raise ReliabilityError("invalid excursion")
-        return fit * duration_hours <= self.remaining_budget() + 1e-9

@@ -52,16 +52,8 @@ class ControllerTrace:
     epochs: tuple[ControllerEpoch, ...]
 
     @property
-    def average_performance(self) -> float:
-        return sum(e.performance for e in self.epochs) / len(self.epochs)
-
-    @property
     def average_fit(self) -> float:
         return sum(e.fit for e in self.epochs) / len(self.epochs)
-
-    @property
-    def final_banked(self) -> float:
-        return self.epochs[-1].banked
 
 
 class FeedbackDVSController:

@@ -95,6 +95,7 @@ class FailureMechanism(abc.ABC):
             return 0.0
         return 1.0 / mttf
 
+    @abc.abstractmethod
     def relative_fit_batch(
         self,
         temperature_k: np.ndarray,
@@ -111,31 +112,9 @@ class FailureMechanism(abc.ABC):
         positive voltage/frequency) — the batch kernel validates them
         once per grid instead of once per element.
 
-        The four built-in mechanisms override this with closed-form
-        array expressions; this fallback evaluates the scalar model per
-        element so custom mechanisms stay correct without extra work.
+        Each mechanism implements this with a closed-form array
+        expression equal to its scalar model.
         """
-        t, v, f, a = np.broadcast_arrays(
-            temperature_k, voltage_v, frequency_hz, activity
-        )
-        out = np.empty(t.shape, dtype=float)
-        flat = out.reshape(-1)
-        # repro: ignore[RPR310] documented scalar fallback: mechanisms
-        # without a closed-form batch override evaluate per element.
-        for i, (ti, vi, fi, ai) in enumerate(
-            zip(t.reshape(-1), v.reshape(-1), f.reshape(-1), a.reshape(-1))
-        ):
-            flat[i] = self.relative_fit(
-                StressConditions(
-                    temperature_k=float(ti),
-                    voltage_v=float(vi),
-                    frequency_hz=float(fi),
-                    activity=float(ai),
-                    v_nominal=v_nominal,
-                    f_nominal=f_nominal,
-                )
-            )
-        return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name}>"

@@ -89,21 +89,14 @@ class BimodalAgreePredictor:
             self.mispredicts += 1
         return mispredicted
 
-    @property
-    def misprediction_rate(self) -> float:
-        """Fraction of dynamic branches mispredicted so far."""
-        if self.lookups == 0:
-            return 0.0
-        return self.mispredicts / self.lookups
-
 
 class ReturnAddressStack:
     """A fixed-depth return-address stack (Table 1: 32 entries).
 
     Overflow wraps (oldest entry is overwritten); underflow returns None,
-    signalling a RAS mispredict.  The synthetic traces do not contain
-    call/return pairs, so in this reproduction the RAS exists for
-    architectural completeness and is exercised by its unit tests.
+    signalling a RAS mispredict.  The synthetic traces contain CALL/RETURN
+    pairs (the static program ends blocks with them); the pipeline pushes
+    the return address on each CALL and pops it to predict the RETURN.
     """
 
     def __init__(self, depth: int = 32) -> None:

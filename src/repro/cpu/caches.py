@@ -140,13 +140,6 @@ class Cache:
         """Total lookups performed."""
         return self.hits + self.misses
 
-    @property
-    def miss_rate(self) -> float:
-        """Fraction of lookups that missed (0 if never accessed)."""
-        if not self.accesses:
-            return 0.0
-        return self.misses / self.accesses
-
 
 #: Completion cycle of "no miss outstanding".
 _NEVER = float("inf")

@@ -84,31 +84,3 @@ class SimulationStats:
     def cpi_core(self) -> float:
         """The frequency-invariant (in cycles) component of CPI."""
         return (self.cycles - self.mem_stall_cycles) / self.instructions
-
-    def max_activity(self) -> float:
-        """The highest structure activity factor (used for p_qual)."""
-        return max(self.activity.values())
-
-
-def weighted_merge(parts: list[tuple[SimulationStats, float]]) -> dict[str, float]:
-    """Time-weighted average of activity factors across phases.
-
-    Args:
-        parts: (stats, weight) pairs; weights need not be normalised.
-
-    Returns:
-        Per-structure weighted-average activity.
-
-    Raises:
-        SimulationError: if ``parts`` is empty or the weights sum to zero.
-    """
-    if not parts:
-        raise SimulationError("nothing to merge")
-    total = sum(w for _, w in parts)
-    if total <= 0.0:
-        raise SimulationError("weights must sum to a positive value")
-    merged = {name: 0.0 for name in STRUCTURE_NAMES}
-    for stats, weight in parts:
-        for name in STRUCTURE_NAMES:
-            merged[name] += stats.activity[name] * (weight / total)
-    return merged

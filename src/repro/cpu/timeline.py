@@ -6,8 +6,7 @@ every instruction.  This module holds the container plus the analysis
 and rendering helpers — the moral equivalent of a pipeline-viewer dump,
 in plain text:
 
-- per-stage latency distributions (dispatch-to-issue queueing time,
-  execution latency, completion-to-retire commit delay);
+- dispatch-to-issue queueing time per instruction;
 - average window occupancy via Little's law;
 - a Gantt-style text rendering of any instruction range, which makes
   stalls (a load miss holding retirement, a mispredict bubble) directly
@@ -58,14 +57,6 @@ class Timeline:
     def queue_delays(self) -> np.ndarray:
         """Cycles each instruction waited in the window before issuing."""
         return self.issue - self.fetch
-
-    def execute_latencies(self) -> np.ndarray:
-        """Cycles from issue to result (includes memory time for loads)."""
-        return self.complete - self.issue
-
-    def commit_delays(self) -> np.ndarray:
-        """Cycles each completed instruction waited for in-order retire."""
-        return self.retire - self.complete
 
     def window_occupancy(self) -> float:
         """Average in-flight instructions (Little's law: N = λ·T)."""

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
 
 
 class InstructionWindow:
@@ -34,33 +34,3 @@ class InstructionWindow:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    @property
-    def full(self) -> bool:
-        """Whether dispatch must stall."""
-        return len(self.entries) >= self.capacity
-
-    def dispatch(self, idx: int) -> None:
-        """Insert a renamed instruction at the tail.
-
-        Raises:
-            SimulationError: if the window is full (bookkeeping bug).
-        """
-        if self.full:
-            raise SimulationError("dispatch into a full window")
-        self.entries.append(idx)
-        self.dispatches += 1
-
-    def head(self) -> int | None:
-        """The oldest in-flight instruction, or None if empty."""
-        return self.entries[0] if self.entries else None
-
-    def retire_head(self) -> int:
-        """Remove and return the oldest entry.
-
-        Raises:
-            SimulationError: if the window is empty.
-        """
-        if not self.entries:
-            raise SimulationError("retire from an empty window")
-        return self.entries.popleft()

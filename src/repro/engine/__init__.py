@@ -40,12 +40,9 @@ from repro.engine.events import EventLog, stderr_progress
 from repro.engine.executor import ExecutorConfig, JobExecutor, JobOutcome
 from repro.engine.jobs import (
     DRMSearchJob,
-    DTMJob,
     EngineError,
-    EvaluateJob,
     Job,
     JobContext,
-    QualificationJob,
     SimulateJob,
     simulate_cache_key,
 )
@@ -65,10 +62,7 @@ __all__ = [
     "ResultStore",
     "SCHEMA_VERSION",
     "SimulateJob",
-    "EvaluateJob",
-    "QualificationJob",
     "DRMSearchJob",
-    "DTMJob",
     "simulate_cache_key",
     "stderr_progress",
 ]

@@ -13,10 +13,8 @@ receives the spec, rebuilds its context locally, and returns the result.
 
 Stages (the scheduler orders them through ``dependencies()``):
 
-``simulate``       cycle-level timing simulation (the expensive part)
-``evaluate``       power/thermal fixed point at one operating point
-``qualification``  suite-wide worst-case activity (p_qual)
-``drm`` / ``dtm``  reliability- / temperature-constrained oracle search
+``simulate``  cycle-level timing simulation (the expensive part)
+``drm``       the reliability-constrained oracle search
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ import json
 from dataclasses import dataclass, fields
 from functools import cached_property
 
-from repro.config.dvs import OperatingPoint
 from repro.config.microarch import BASE_MICROARCH, MicroarchConfig
 from repro.cpu.simulator import (
     DEFAULT_INSTRUCTIONS,
@@ -238,97 +235,6 @@ class SimulateJob(Job):
 
 
 @dataclass(frozen=True)
-class EvaluateJob(Job):
-    """Power/thermal fixed point of one simulated run at one DVS point."""
-
-    simulate: SimulateJob
-    op: OperatingPoint
-
-    kind = "evaluate"
-    stage = "evaluate"
-
-    def payload(self) -> dict:
-        return {
-            "simulate": self.simulate.payload(),
-            "op": {
-                "frequency_hz": self.op.frequency_hz,
-                "voltage_v": self.op.voltage_v,
-            },
-            "platform": _default_platform_fingerprint(),
-        }
-
-    def dependencies(self) -> tuple[Job, ...]:
-        return (self.simulate,)
-
-    def run(self, ctx: JobContext):
-        from repro.harness.platform import Platform
-
-        cache = ctx.simulation_cache(
-            self.simulate.instructions,
-            self.simulate.warmup,
-            self.simulate.seed,
-        )
-        run = cache.run(
-            _resolve_profile(self.simulate.profile_name), self.simulate.config
-        )
-        return Platform().evaluate(run, self.op)
-
-    def describe(self) -> str:
-        return (
-            f"evaluate:{self.simulate.profile_name}:"
-            f"{self.simulate.config.describe()}@{self.op.frequency_ghz:.2f}GHz"
-        )
-
-
-@dataclass(frozen=True)
-class QualificationJob(Job):
-    """Suite-wide worst-case per-structure activity (the paper's p_qual)."""
-
-    instructions: int = DEFAULT_INSTRUCTIONS
-    warmup: int = DEFAULT_WARMUP
-    seed: int = 42
-    suite: tuple[str, ...] = tuple(SUITE_NAMES)
-
-    kind = "qualification"
-    stage = "qualification"
-
-    def payload(self) -> dict:
-        return {
-            "suite": [profile_payload(_resolve_profile(n)) for n in self.suite],
-            "instructions": self.instructions,
-            "warmup": self.warmup,
-            "seed": self.seed,
-        }
-
-    def dependencies(self) -> tuple[Job, ...]:
-        return tuple(
-            SimulateJob(
-                profile_name=name,
-                config=BASE_MICROARCH,
-                instructions=self.instructions,
-                warmup=self.warmup,
-                seed=self.seed,
-            )
-            for name in self.suite
-        )
-
-    def run(self, ctx: JobContext) -> dict:
-        from repro.config.technology import STRUCTURE_NAMES
-
-        cache = ctx.simulation_cache(self.instructions, self.warmup, self.seed)
-        worst = {name: 0.0 for name in STRUCTURE_NAMES}
-        for name in self.suite:
-            run = cache.run(_resolve_profile(name), BASE_MICROARCH)
-            for pr in run.phases:
-                for structure, a in pr.stats.activity.items():
-                    worst[structure] = max(worst[structure], a)
-        return worst
-
-    def describe(self) -> str:
-        return f"qualification:{len(self.suite)}-apps"
-
-
-@dataclass(frozen=True)
 class DRMSearchJob(Job):
     """The DRM oracle's search for one (application, T_qual, mode).
 
@@ -405,55 +311,6 @@ class DRMSearchJob(Job):
 
     def describe(self) -> str:
         return f"drm:{self.profile_name}@{self.t_qual_k:.0f}K:{self.mode}"
-
-
-@dataclass(frozen=True)
-class DTMJob(Job):
-    """The DTM comparator's choice for one (application, T_limit)."""
-
-    profile_name: str
-    t_limit_k: float
-    dvs_steps: int = 26
-    instructions: int = DEFAULT_INSTRUCTIONS
-    warmup: int = DEFAULT_WARMUP
-    seed: int = 42
-
-    kind = "dtm"
-    stage = "dtm"
-
-    def payload(self) -> dict:
-        return {
-            "profile": profile_payload(_resolve_profile(self.profile_name)),
-            "t_limit_k": self.t_limit_k,
-            "dvs_steps": self.dvs_steps,
-            "instructions": self.instructions,
-            "warmup": self.warmup,
-            "seed": self.seed,
-            "platform": _default_platform_fingerprint(),
-        }
-
-    def dependencies(self) -> tuple[Job, ...]:
-        return (
-            SimulateJob(
-                profile_name=self.profile_name,
-                config=BASE_MICROARCH,
-                instructions=self.instructions,
-                warmup=self.warmup,
-                seed=self.seed,
-            ),
-        )
-
-    def run(self, ctx: JobContext):
-        from repro.core.dtm import DTMOracle
-
-        cache = ctx.simulation_cache(self.instructions, self.warmup, self.seed)
-        oracle = DTMOracle(cache=cache, dvs_steps=self.dvs_steps)
-        return oracle.best(
-            _resolve_profile(self.profile_name), t_limit_k=self.t_limit_k
-        )
-
-    def describe(self) -> str:
-        return f"dtm:{self.profile_name}@{self.t_limit_k:.0f}K"
 
 
 def _default_platform_fingerprint() -> dict:

@@ -11,8 +11,8 @@ the event log — is deterministic regardless of dict iteration or hash
 randomisation.
 
 Wave scheduling is what realises the stage ordering the harness needs
-(simulate → evaluate/qualification → drm/dtm) without hard-coding stages:
-the ordering falls out of the declared dependencies.
+(simulate → drm) without hard-coding stages: the ordering falls out of
+the declared dependencies.
 """
 
 from __future__ import annotations
@@ -24,11 +24,7 @@ from repro.engine.jobs import EngineError, Job
 #: and human-friendly; correctness comes from the dependency edges.
 _STAGE_ORDER = {
     "simulate": 0,
-    "evaluate": 1,
-    "qualification": 2,
-    "ramp": 3,
-    "drm": 4,
-    "dtm": 5,
+    "drm": 1,
 }
 
 
@@ -84,14 +80,6 @@ class JobGraph:
             dep_keys.add(canonical.cache_key)
         self._deps[key] = dep_keys
         return job
-
-    def dependencies_of(self, job: Job) -> tuple[Job, ...]:
-        return tuple(
-            sorted(
-                (self._jobs[k] for k in self._deps.get(job.cache_key, ())),
-                key=_sort_key,
-            )
-        )
 
     def waves(self) -> list[list[Job]]:
         """Topological sort into waves of mutually independent jobs.

@@ -601,14 +601,6 @@ def decode_intra_decision(payload: dict):
     )
 
 
-def _identity_encode(value: dict) -> dict:
-    return value
-
-
-def _identity_decode(payload: dict) -> dict:
-    return payload
-
-
 def _config_payload(config) -> dict:
     return {f.name: getattr(config, f.name) for f in dataclasses.fields(config)}
 
@@ -621,7 +613,6 @@ CODECS = {
     "dtm": (encode_dtm_decision, decode_dtm_decision),
     "joint": (encode_joint_decision, decode_joint_decision),
     "intra": (encode_intra_decision, decode_intra_decision),
-    "qualification": (_identity_encode, _identity_decode),
 }
 
 

@@ -86,22 +86,6 @@ class InputValidationError(ReproError):
     """
 
 
-class ExecutionError(ReproError):
-    """The job engine could not execute a unit of work."""
-
-
-class FailureBudgetError(ExecutionError):
-    """A job exhausted its failure budget and will not be re-attempted."""
-
-
-class StoreError(ReproError):
-    """The content-addressed result store misbehaved."""
-
-
-class StoreCorruptionError(StoreError):
-    """A store entry was corrupt and could not be healed."""
-
-
 class SweepError(ReproError):
     """A checkpointed sweep could not run or resume."""
 

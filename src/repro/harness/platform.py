@@ -340,12 +340,6 @@ class Platform:
             avg_power_w=avg_power,
         )
 
-    def performance_relative_to_base(
-        self, evaluation: PlatformEvaluation, base_evaluation: PlatformEvaluation
-    ) -> float:
-        """Speedup (or slowdown) vs the base non-adaptive processor."""
-        return evaluation.ips / base_evaluation.ips
-
     # ------------------------------------------------------------------
 
     def _solve_thermal_fixed_point(

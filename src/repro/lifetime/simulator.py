@@ -161,11 +161,6 @@ class LifetimeResult:
     config: MicroarchConfig = BASE_MICROARCH
     trace: tuple[tuple[int, float, float], ...] = field(default_factory=tuple)
 
-    @property
-    def within_target(self) -> bool:
-        """Placeholder flag recomputed by callers that know the target."""
-        return not self.end_of_life
-
 
 class LifetimeSimulator:
     """Integrates mission schedules into cumulative wear trajectories.

@@ -4,8 +4,7 @@ Leakage depends on temperature while temperature depends on total power,
 so the two are solved as a fixed point: the
 :class:`~repro.harness.platform.Platform` iterates power -> temperature ->
 leakage until the total converges.  This module provides the per-iteration
-evaluation plus a standalone evaluation at uniform temperature for tests
-and quick estimates.
+evaluation.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from dataclasses import dataclass
 
 from repro.config.dvs import OperatingPoint
 from repro.config.microarch import MicroarchConfig
-from repro.config.technology import STRUCTURE_NAMES, TechnologyParameters, DEFAULT_TECHNOLOGY
+from repro.config.technology import TechnologyParameters, DEFAULT_TECHNOLOGY
 from repro.power.dynamic import DynamicPowerModel
 from repro.power.leakage import LeakagePowerModel
 
@@ -44,13 +43,6 @@ class PowerBreakdown:
         """Whole-core power in watts."""
         return sum(self.dynamic.values()) + sum(self.leakage.values())
 
-    @property
-    def total_dynamic_w(self) -> float:
-        return sum(self.dynamic.values())
-
-    @property
-    def total_leakage_w(self) -> float:
-        return sum(self.leakage.values())
 
 
 class PowerModel:
@@ -83,14 +75,3 @@ class PowerModel:
             dynamic=self.dynamic.structure_power(activity, config, op),
             leakage=self.leakage.structure_power(temperatures, config, op),
         )
-
-    def evaluate_uniform(
-        self,
-        activity: dict[str, float],
-        config: MicroarchConfig,
-        op: OperatingPoint,
-        temperature_k: float,
-    ) -> PowerBreakdown:
-        """Power breakdown assuming one uniform die temperature."""
-        temps = {name: temperature_k for name in STRUCTURE_NAMES}
-        return self.evaluate(activity, config, op, temps)

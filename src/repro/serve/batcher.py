@@ -206,10 +206,6 @@ class MicroBatcher:
 
     # ---- lifecycle -----------------------------------------------------
 
-    @property
-    def pending_items(self) -> int:
-        return len(self._pending)
-
     async def drain(self) -> None:
         """Flush whatever is pending and wait for in-flight flushes."""
         if self._pending:

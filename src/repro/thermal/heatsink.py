@@ -9,7 +9,8 @@ that sink state.
 
 Here the "runs" are the per-phase power assignments: pass one averages
 them by time weight and computes the steady sink temperature; pass two
-solves each phase's temperature field with the sink pinned there.
+(``solver.solve_with_fixed_sink``) solves each phase's temperature field
+with the sink pinned there.
 """
 
 from __future__ import annotations
@@ -59,16 +60,3 @@ class TwoPassThermalModel:
         avg = self.average_power(phase_powers)
         full = self.solver.solve_full(avg)
         return float(full[self.network.sink_index])
-
-    def phase_temperatures(
-        self, phase_powers: list[tuple[dict[str, float], float]]
-    ) -> list[dict[str, float]]:
-        """Pass two: per-phase block temperatures with the sink pinned.
-
-        Returns one temperature dict per input phase, in order.
-        """
-        sink = self.sink_temperature(phase_powers)
-        return [
-            self.solver.solve_with_fixed_sink(power, sink)
-            for power, _ in phase_powers
-        ]

@@ -147,18 +147,6 @@ class WorkloadProfile:
         if abs(weight - 1.0) > 1e-9:
             raise WorkloadError(f"{self.name}: phase weights sum to {weight}")
 
-    def mem_fraction(self) -> float:
-        """Fraction of the stream that is loads or stores."""
-        return self.mix.get(OpClass.LOAD, 0.0) + self.mix.get(OpClass.STORE, 0.0)
-
-    def fp_fraction(self) -> float:
-        """Fraction of the stream that executes on the FPUs."""
-        return (
-            self.mix.get(OpClass.FADD, 0.0)
-            + self.mix.get(OpClass.FMUL, 0.0)
-            + self.mix.get(OpClass.FDIV, 0.0)
-        )
-
 
 def make_mix(
     ialu: float = 0.0,

@@ -71,14 +71,6 @@ class StaticProgram:
         """Total static code size in bytes."""
         return sum(len(ops) for ops in self.block_ops) * 4
 
-    def function_entries(self) -> np.ndarray:
-        """Block ids of the function bodies (entered only by CALL)."""
-        is_fn = (self.terminator == int(OpClass.RETURN)) | (
-            (self.terminator == int(OpClass.CALL))
-            & (np.arange(self.n_blocks) >= self.first_function_block())
-        )
-        return np.flatnonzero(is_fn)
-
     def first_function_block(self) -> int:
         """Index of the first function block (they occupy the id tail)."""
         n_fn = max(1, int(round(FUNCTION_BLOCK_FRACTION * self.n_blocks)))

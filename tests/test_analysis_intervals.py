@@ -11,7 +11,6 @@ other way).
 
 import math
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

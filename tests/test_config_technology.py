@@ -30,7 +30,7 @@ class TestTechnologyParameters:
         assert DEFAULT_TECHNOLOGY.leakage_temp_coefficient_per_k == pytest.approx(0.017)
 
     def test_structure_areas_sum_to_core_area(self):
-        assert DEFAULT_TECHNOLOGY.structure_area_total_mm2() == pytest.approx(20.2, abs=1e-9)
+        assert sum(s.area_mm2 for s in STRUCTURES) == pytest.approx(20.2, abs=1e-9)
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -82,14 +82,3 @@ class TestSustainableRate:
         b.record(4000.0, 10.0)
         with pytest.raises(ReliabilityError, match="exhausted"):
             b.sustainable_fit()
-
-    def test_can_afford(self):
-        b = ReliabilityBudget(fit_target=4000.0, horizon_hours=100.0)
-        assert b.can_afford(4000.0, 100.0)
-        assert not b.can_afford(8000.0, 100.0)
-        assert b.can_afford(8000.0, 50.0)
-
-    def test_can_afford_validates_inputs(self):
-        b = ReliabilityBudget()
-        with pytest.raises(ReliabilityError):
-            b.can_afford(-1.0, 1.0)

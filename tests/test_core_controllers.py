@@ -59,7 +59,7 @@ class TestClosedLoop:
         expected = sum(
             (target - e.fit) * controller.epoch_hours for e in trace.epochs
         )
-        assert trace.final_banked == pytest.approx(expected, rel=1e-9)
+        assert trace.epochs[-1].banked == pytest.approx(expected, rel=1e-9)
 
     def test_performance_recorded_relative_to_base(self, controller, twolf_run):
         trace = controller.run(twolf_run, n_epochs=4, start_frequency_hz=4.0e9)

@@ -47,7 +47,7 @@ class TestTimelineDetails:
         from repro.workloads import microbench as ub
 
         _, tl = simulate_with_timeline(ub.branchy(500))
-        assert (tl.commit_delays() >= 0).all()
+        assert (tl.retire - tl.complete >= 0).all()
 
     def test_gantt_clips_to_max_width(self):
         from repro.cpu.simulator import simulate_with_timeline

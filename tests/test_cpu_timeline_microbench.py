@@ -48,7 +48,7 @@ class TestTimelineRecording:
 
     def test_chain_execute_latency_matches_isa(self):
         _, tl = simulate_with_timeline(ub.dependency_chain(300, OpClass.IMUL))
-        lat = tl.execute_latencies()
+        lat = tl.complete - tl.issue
         # Steady-state multiplies take exactly 7 cycles from issue.
         assert np.median(lat) == 7
 

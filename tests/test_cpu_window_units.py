@@ -7,33 +7,11 @@ from repro.cpu.functional_units import FunctionalUnitPool, FunctionalUnits
 from repro.cpu.isa import OP_LATENCY, FuKind
 from repro.cpu.regfile import RegisterFileModel
 from repro.cpu.window import InstructionWindow
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
 from repro.workloads.trace import OpClass
 
 
 class TestWindow:
-    def test_capacity_enforced(self):
-        w = InstructionWindow(2)
-        w.dispatch(0)
-        w.dispatch(1)
-        assert w.full
-        with pytest.raises(SimulationError):
-            w.dispatch(2)
-
-    def test_retire_in_program_order(self):
-        w = InstructionWindow(4)
-        for i in range(3):
-            w.dispatch(i)
-        assert w.retire_head() == 0
-        assert w.retire_head() == 1
-
-    def test_head_of_empty_is_none(self):
-        assert InstructionWindow(4).head() is None
-
-    def test_retire_empty_raises(self):
-        with pytest.raises(SimulationError):
-            InstructionWindow(4).retire_head()
-
     def test_invalid_capacity(self):
         with pytest.raises(ConfigurationError):
             InstructionWindow(0)

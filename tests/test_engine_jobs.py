@@ -7,8 +7,6 @@ import pytest
 from repro.config.microarch import BASE_MICROARCH, MicroarchConfig
 from repro.engine.jobs import (
     DRMSearchJob,
-    DTMJob,
-    QualificationJob,
     SimulateJob,
     canonical_json,
     content_hash,
@@ -95,20 +93,9 @@ class TestDependencyClosure:
         job = DRMSearchJob("twolf", 370.0, mode="dvs", instructions=1000)
         assert {d.config for d in job.dependencies()} == {BASE_MICROARCH}
 
-    def test_dtm_depends_on_own_base_sim(self):
-        job = DTMJob("art", 360.0, instructions=1000)
-        (dep,) = job.dependencies()
-        assert dep.profile_name == "art"
-        assert dep.config == BASE_MICROARCH
-
-    def test_qualification_depends_on_whole_suite(self):
-        job = QualificationJob(instructions=1000)
-        assert {d.profile_name for d in job.dependencies()} == set(SUITE_NAMES)
-
     def test_jobs_usable_as_dict_keys(self):
         jobs = {
             SimulateJob("twolf"): 1,
             DRMSearchJob("twolf", 370.0): 2,
-            DTMJob("twolf", 360.0): 3,
         }
         assert jobs[SimulateJob("twolf")] == 1

@@ -46,8 +46,7 @@ class TestSubpackageExports:
             "repro.core.intra", "repro.core.online", "repro.core.combined",
             "repro.core.scaling", "repro.core.tradeoff",
             "repro.core.budget", "repro.core.sensors", "repro.core.controllers",
-            "repro.harness.validation", "repro.workloads.analysis",
-            "repro.workloads.tracefile", "repro.thermal.report", "repro.cli",
+            "repro.harness.validation", "repro.thermal.report", "repro.cli",
             "repro.lifetime", "repro.lifetime.damage",
             "repro.lifetime.distributions",
             "repro.lifetime.simulator", "repro.lifetime.adversary",

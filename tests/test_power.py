@@ -121,19 +121,19 @@ class TestPowerModel:
         self.model = PowerModel()
 
     def test_breakdown_totals(self):
-        b = self.model.evaluate_uniform(uniform_activity(0.5), BASE_MICROARCH, NOMINAL, 360.0)
-        assert b.total_w == pytest.approx(b.total_dynamic_w + b.total_leakage_w)
+        b = self.model.evaluate(uniform_activity(0.5), BASE_MICROARCH, NOMINAL, uniform_temps(360.0))
+        assert b.total_w == pytest.approx(sum(b.dynamic.values()) + sum(b.leakage.values()))
         assert b.total_w == pytest.approx(sum(b.totals().values()))
 
     def test_structure_total(self):
-        b = self.model.evaluate_uniform(uniform_activity(0.5), BASE_MICROARCH, NOMINAL, 360.0)
+        b = self.model.evaluate(uniform_activity(0.5), BASE_MICROARCH, NOMINAL, uniform_temps(360.0))
         assert b.structure_total("fpu") == pytest.approx(b.dynamic["fpu"] + b.leakage["fpu"])
 
     def test_hotter_die_leaks_more(self):
-        cool = self.model.evaluate_uniform(uniform_activity(0.3), BASE_MICROARCH, NOMINAL, 340.0)
-        hot = self.model.evaluate_uniform(uniform_activity(0.3), BASE_MICROARCH, NOMINAL, 390.0)
-        assert hot.total_leakage_w > cool.total_leakage_w
-        assert hot.total_dynamic_w == pytest.approx(cool.total_dynamic_w)
+        cool = self.model.evaluate(uniform_activity(0.3), BASE_MICROARCH, NOMINAL, uniform_temps(340.0))
+        hot = self.model.evaluate(uniform_activity(0.3), BASE_MICROARCH, NOMINAL, uniform_temps(390.0))
+        assert sum(hot.leakage.values()) > sum(cool.leakage.values())
+        assert sum(hot.dynamic.values()) == pytest.approx(sum(cool.dynamic.values()))
 
     def test_per_structure_temperatures_respected(self):
         temps = uniform_temps(340.0)

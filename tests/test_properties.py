@@ -192,7 +192,7 @@ class TestCacheProperties:
         p = BimodalAgreePredictor()
         for pc, taken in stream:
             p.update(pc, taken)
-        assert 0.0 <= p.misprediction_rate <= 1.0
+        assert 0 <= p.mispredicts <= p.lookups
         assert p.lookups == len(stream)
 
 

@@ -26,6 +26,7 @@ from repro.power.model import PowerModel
 from repro.thermal.floorplan import build_default_floorplan
 from repro.thermal.rc_network import ThermalRCNetwork
 from repro.thermal.solver import SteadyStateSolver
+from tests.conftest import uniform_temps
 
 _FLOORPLAN = build_default_floorplan()
 _NETWORK = ThermalRCNetwork(_FLOORPLAN)
@@ -91,8 +92,8 @@ class TestPowerProperties:
     @given(activities, st.floats(min_value=2.5e9, max_value=5.0e9))
     def test_power_positive_and_finite(self, acts, freq):
         op = DEFAULT_VF_CURVE.operating_point(freq)
-        b = _POWER.evaluate_uniform(
-            dict(zip(STRUCTURE_NAMES, acts)), BASE_MICROARCH, op, 360.0
+        b = _POWER.evaluate(
+            dict(zip(STRUCTURE_NAMES, acts)), BASE_MICROARCH, op, uniform_temps(360.0)
         )
         assert 0.0 < b.total_w < 500.0
         assert math.isfinite(b.total_w)
@@ -101,23 +102,23 @@ class TestPowerProperties:
     @given(activities)
     def test_dynamic_power_monotone_in_activity(self, acts):
         op = DEFAULT_VF_CURVE.nominal
-        lo = _POWER.evaluate_uniform(
-            dict(zip(STRUCTURE_NAMES, acts)), BASE_MICROARCH, op, 360.0
+        lo = _POWER.evaluate(
+            dict(zip(STRUCTURE_NAMES, acts)), BASE_MICROARCH, op, uniform_temps(360.0)
         )
         hi_acts = [min(1.0, a + 0.1) for a in acts]
-        hi = _POWER.evaluate_uniform(
-            dict(zip(STRUCTURE_NAMES, hi_acts)), BASE_MICROARCH, op, 360.0
+        hi = _POWER.evaluate(
+            dict(zip(STRUCTURE_NAMES, hi_acts)), BASE_MICROARCH, op, uniform_temps(360.0)
         )
-        assert hi.total_dynamic_w >= lo.total_dynamic_w - 1e-12
+        assert sum(hi.dynamic.values()) >= sum(lo.dynamic.values()) - 1e-12
 
     @settings(deadline=None, max_examples=40)
     @given(st.floats(min_value=330.0, max_value=420.0), st.floats(min_value=1.0, max_value=60.0))
     def test_leakage_monotone_in_temperature(self, t, delta):
         op = DEFAULT_VF_CURVE.nominal
         acts = {name: 0.3 for name in STRUCTURE_NAMES}
-        cool = _POWER.evaluate_uniform(acts, BASE_MICROARCH, op, t)
-        hot = _POWER.evaluate_uniform(acts, BASE_MICROARCH, op, min(440.0, t + delta))
-        assert hot.total_leakage_w >= cool.total_leakage_w
+        cool = _POWER.evaluate(acts, BASE_MICROARCH, op, uniform_temps(t))
+        hot = _POWER.evaluate(acts, BASE_MICROARCH, op, uniform_temps(min(440.0, t + delta)))
+        assert sum(hot.leakage.values()) >= sum(cool.leakage.values())
 
 
 class TestLifetimeProperties:

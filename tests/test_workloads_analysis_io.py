@@ -1,25 +1,140 @@
-"""Tests for the trace analysis toolkit and trace persistence."""
+"""Trace-generator checks through reuse-distance and branch statistics.
+
+The synthetic traces must honour their profiles: the hot data set of a
+media application fits in its nominal L1D capacity, its branches are
+strongly biased, and a hostile integer profile's branches are harder to
+predict.  The statistics these checks read — the LRU stack-distance
+profile of the data stream and the per-pc branch-bias entropy — are
+defined here, with tests of their own.
+"""
+
+import math
+from collections import Counter, defaultdict
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
-from repro.workloads.analysis import (
-    branch_stats,
-    dependency_histogram,
-    fetch_run_lengths,
-    instruction_mix,
-    mean_dependency_distance,
-    miss_rate_for_capacity,
-    stack_distance_profile,
-)
 from repro.workloads.generator import TraceGenerator
 from repro.workloads.suite import workload_by_name
-from repro.workloads.trace import Instruction, OpClass, Trace
-from repro.workloads.tracefile import FORMAT_VERSION, load_trace, save_trace
+from repro.workloads.trace import MEM_OPS, Instruction, OpClass, Trace
 
 MPG = workload_by_name("MPGdec")
 TWOLF = workload_by_name("twolf")
+
+
+@dataclass(frozen=True)
+class BranchStats:
+    """Branch-stream characterisation.
+
+    Attributes:
+        dynamic_branches: conditional-branch instances in the trace.
+        static_branches: distinct conditional-branch pcs.
+        taken_fraction: fraction of dynamic branches taken.
+        mean_bias_entropy: mean per-pc Bernoulli entropy (bits); 0 for
+            perfectly biased streams, 1 for coin flips — a direct
+            predictor-difficulty metric.
+    """
+
+    dynamic_branches: int
+    static_branches: int
+    taken_fraction: float
+    mean_bias_entropy: float
+
+
+def stack_distance_profile(trace: Trace, max_blocks: int = 1 << 16) -> Counter:
+    """LRU stack distances of the data-access block stream.
+
+    Returns a Counter mapping stack distance to occurrences; first-touch
+    accesses are recorded under the key ``-1``.  The miss rate of a fully
+    associative LRU cache of capacity C is the mass at distances >= C
+    plus the first-touch mass, divided by total accesses.
+    """
+    distances: Counter = Counter()
+    stack: list[int] = []
+    resident: set[int] = set()
+    mem = np.isin(trace.op, [int(o) for o in MEM_OPS])
+    blocks = (trace.addr[mem] // 64).tolist()
+    for block in blocks:
+        if block in resident:
+            # Distance = number of distinct blocks touched since last use.
+            idx = stack.index(block)
+            distances[len(stack) - 1 - idx] += 1
+            stack.pop(idx)
+        else:
+            distances[-1] += 1
+            resident.add(block)
+            if len(stack) >= max_blocks:
+                evicted = stack.pop(0)
+                resident.discard(evicted)
+        stack.append(block)
+    return distances
+
+
+def miss_rate_for_capacity(
+    distances: Counter, capacity_blocks: int, include_first_touch: bool = True
+) -> float:
+    """Fully associative LRU miss rate implied by a stack-distance profile.
+
+    Args:
+        distances: profile from :func:`stack_distance_profile`.
+        capacity_blocks: cache capacity in blocks.
+        include_first_touch: count compulsory (first-touch) misses.  Pass
+            False for the steady-state (reuse-only) miss rate — the right
+            view for short standalone traces, where compulsory mass
+            dominates but a long-running program would have amortised it.
+
+    Raises:
+        WorkloadError: if the profile is empty or capacity is not positive.
+    """
+    if capacity_blocks <= 0:
+        raise WorkloadError("capacity must be positive")
+    first_touch = distances[-1]
+    reuses = sum(v for d, v in distances.items() if d >= 0)
+    capacity_misses = sum(
+        count for d, count in distances.items() if d >= capacity_blocks
+    )
+    if include_first_touch:
+        total = reuses + first_touch
+        misses = capacity_misses + first_touch
+    else:
+        total = reuses
+        misses = capacity_misses
+    if total == 0:
+        raise WorkloadError("empty stack-distance profile")
+    return misses / total
+
+
+def branch_stats(trace: Trace) -> BranchStats:
+    """Characterise the conditional-branch stream.
+
+    Raises:
+        WorkloadError: if the trace contains no conditional branches.
+    """
+    is_branch = trace.op == int(OpClass.BRANCH)
+    n = int(is_branch.sum())
+    if n == 0:
+        raise WorkloadError("trace has no conditional branches")
+    pcs = trace.pc[is_branch]
+    outcomes = trace.taken[is_branch]
+    per_pc: dict[int, list[int]] = defaultdict(lambda: [0, 0])
+    for pc, taken in zip(pcs.tolist(), outcomes.tolist()):
+        per_pc[pc][1 if taken else 0] += 1
+    entropies = []
+    for not_taken, taken in per_pc.values():
+        total = not_taken + taken
+        p = taken / total
+        if p in (0.0, 1.0):
+            entropies.append(0.0)
+        else:
+            entropies.append(-p * math.log2(p) - (1 - p) * math.log2(1 - p))
+    return BranchStats(
+        dynamic_branches=n,
+        static_branches=len(per_pc),
+        taken_fraction=float(outcomes.mean()),
+        mean_bias_entropy=float(np.mean(entropies)),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -29,33 +144,16 @@ def mpg_trace():
 
 class TestInstructionMix:
     def test_sums_to_one(self, mpg_trace):
-        assert sum(instruction_mix(mpg_trace).values()) == pytest.approx(1.0)
+        assert sum(mpg_trace.mix().values()) == pytest.approx(1.0)
 
     def test_names_are_op_classes(self, mpg_trace):
-        assert set(instruction_mix(mpg_trace)) == {o.name for o in OpClass}
+        assert {op.name for op in mpg_trace.mix()} == {o.name for o in OpClass}
 
 
 class TestDependencyAnalysis:
-    def test_histogram_counts_everything(self, mpg_trace):
-        hist = dependency_histogram(mpg_trace)
-        assert hist.sum() == len(mpg_trace)
-
-    def test_overflow_bin_accumulates(self):
-        instrs = [Instruction(op=OpClass.IALU, dep1=min(i, 99), pc=0) for i in range(200)]
-        hist = dependency_histogram(Trace.from_instructions(instrs), max_distance=10)
-        assert hist[10] == sum(1 for i in range(200) if min(i, 99) >= 10)
-
-    def test_invalid_max_distance(self, mpg_trace):
-        with pytest.raises(WorkloadError):
-            dependency_histogram(mpg_trace, max_distance=0)
-
     def test_mean_matches_profile_scale(self, mpg_trace):
-        mean = mean_dependency_distance(mpg_trace)
+        mean = mpg_trace.dep1[mpg_trace.dep1 > 0].mean()
         assert 0.4 * MPG.dep_distance_mean < mean < 2.0 * MPG.dep_distance_mean
-
-    def test_mean_zero_without_dependences(self):
-        instrs = [Instruction(op=OpClass.IALU, pc=0) for _ in range(5)]
-        assert mean_dependency_distance(Trace.from_instructions(instrs)) == pytest.approx(0.0)
 
 
 class TestStackDistance:
@@ -102,8 +200,6 @@ class TestStackDistance:
             miss_rate_for_capacity(dist, 0)
 
     def test_empty_profile_rejected(self):
-        from collections import Counter
-
         with pytest.raises(WorkloadError):
             miss_rate_for_capacity(Counter(), 8)
 
@@ -131,63 +227,3 @@ class TestBranchStats:
         instrs = [Instruction(op=OpClass.IALU, pc=0) for _ in range(5)]
         with pytest.raises(WorkloadError):
             branch_stats(Trace.from_instructions(instrs))
-
-
-class TestFetchRuns:
-    def test_no_taken_branches_is_one_run(self):
-        instrs = [Instruction(op=OpClass.IALU, pc=0) for _ in range(10)]
-        runs = fetch_run_lengths(Trace.from_instructions(instrs))
-        assert list(runs) == [10]
-
-    def test_taken_branch_every_k(self):
-        instrs = []
-        for i in range(20):
-            if i % 5 == 4:
-                instrs.append(Instruction(op=OpClass.BRANCH, taken=True, pc=0))
-            else:
-                instrs.append(Instruction(op=OpClass.IALU, pc=0))
-        runs = fetch_run_lengths(Trace.from_instructions(instrs))
-        assert list(runs) == [5, 5, 5, 5]
-
-    def test_lengths_sum_to_trace(self, mpg_trace):
-        assert fetch_run_lengths(mpg_trace).sum() == len(mpg_trace)
-
-
-class TestTraceFile:
-    def test_round_trip(self, mpg_trace, tmp_path):
-        path = save_trace(mpg_trace, tmp_path / "mpg")
-        assert path.suffix == ".npz"
-        loaded = load_trace(path)
-        assert len(loaded) == len(mpg_trace)
-        assert (loaded.op == mpg_trace.op).all()
-        assert (loaded.addr == mpg_trace.addr).all()
-        assert (loaded.pc == mpg_trace.pc).all()
-        assert (loaded.taken == mpg_trace.taken).all()
-        assert loaded.name == mpg_trace.name
-
-    def test_replay_gives_identical_stats(self, mpg_trace, tmp_path):
-        from repro.cpu.simulator import simulate_trace
-
-        path = save_trace(mpg_trace, tmp_path / "t.npz")
-        original = simulate_trace(mpg_trace)
-        replayed = simulate_trace(load_trace(path))
-        assert replayed.cycles == original.cycles
-        assert replayed.activity == original.activity
-
-    def test_missing_file_rejected(self, tmp_path):
-        with pytest.raises(WorkloadError, match="no trace file"):
-            load_trace(tmp_path / "nope.npz")
-
-    def test_wrong_version_rejected(self, mpg_trace, tmp_path):
-        path = save_trace(mpg_trace, tmp_path / "t.npz")
-        data = dict(np.load(path, allow_pickle=False))
-        data["version"] = np.array([FORMAT_VERSION + 1])
-        np.savez_compressed(path, **data)
-        with pytest.raises(WorkloadError, match="unsupported"):
-            load_trace(path)
-
-    def test_corrupt_file_rejected(self, tmp_path):
-        bad = tmp_path / "bad.npz"
-        bad.write_bytes(b"not a zip archive")
-        with pytest.raises(WorkloadError):
-            load_trace(bad)

@@ -64,11 +64,7 @@ class TestMemoryBehavior:
 class TestWorkloadProfile:
     def test_valid_profile(self):
         p = make_profile()
-        assert p.mem_fraction() == pytest.approx(0.35)
-
-    def test_fp_fraction(self):
-        p = make_profile(mix=make_mix(ialu=0.4, fadd=0.2, fmul=0.1, load=0.15, store=0.05, branch=0.1))
-        assert p.fp_fraction() == pytest.approx(0.3)
+        assert p.mix[OpClass.LOAD] + p.mix[OpClass.STORE] == pytest.approx(0.35)
 
     def test_mix_must_sum_to_one(self):
         with pytest.raises(WorkloadError, match="sums to"):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import WorkloadError
 from repro.workloads.suite import SUITE_NAMES, WORKLOAD_SUITE, workload_by_name
+from repro.workloads.trace import FP_OPS
 
 
 class TestSuiteComposition:
@@ -60,12 +61,12 @@ class TestTable2Targets:
     def test_integer_apps_have_no_fp_mix(self):
         for p in WORKLOAD_SUITE:
             if p.category == "specint":
-                assert p.fp_fraction() == pytest.approx(0.0)
+                assert sum(p.mix.get(op, 0.0) for op in FP_OPS) == pytest.approx(0.0)
 
     def test_fp_apps_have_fp_mix(self):
         for p in WORKLOAD_SUITE:
             if p.category == "specfp":
-                assert p.fp_fraction() > 0.2
+                assert sum(p.mix.get(op, 0.0) for op in FP_OPS) > 0.2
 
     def test_every_profile_has_temporal_phases(self):
         for p in WORKLOAD_SUITE:
