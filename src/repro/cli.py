@@ -160,50 +160,53 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.cache_dir is not None:
         # Checkpointed path: each finished cell lands on the store's
         # telemetry stream, so a killed sweep resumes where it left off.
-        from repro.harness.sweep import DRMSweepRunner
+        from repro.engine import Engine
 
-        runner = DRMSweepRunner(
-            args.cache_dir,
+        engine = Engine(store_dir=args.cache_dir)
+        decisions = engine.drm_sweep(
+            [profile.name],
+            tquals,
             mode=mode.value,
             dvs_steps=args.dvs_steps,
             instructions=args.instructions,
             warmup=args.warmup,
             seed=args.seed,
+            resume=args.resume,
         )
-        decisions = runner.run([profile.name], tquals, resume=args.resume)
         cells = [decisions[(profile.name, t)] for t in tquals]
         if any(d is None for d in cells):
             print("sweep incomplete: some cells failed "
                   "(re-run with --resume to retry only those)", file=sys.stderr)
             return 1
-        perfs = [d.performance for d in cells]
-        freqs = [d.op.frequency_ghz for d in cells]
-        fits = [d.fit for d in cells]
-        resumed = runner.engine.events.counters["resumed"]
+        resumed = engine.events.counters["resumed"]
         if resumed:
             print(f"resumed: {resumed} cell(s) restored from the telemetry stream",
                   file=sys.stderr)
+    elif args.resume:
+        print("sweep: --resume needs --cache-dir (the stream lives in "
+              "the result store)", file=sys.stderr)
+        return 2
     else:
-        if args.resume:
-            print("sweep: --resume needs --cache-dir (the stream lives in "
-                  "the result store)", file=sys.stderr)
-            return 2
+        # No store: one in-process oracle keeps every run in memory and
+        # prepares the profile once for all of its configurations.
         oracle = _oracle(args)
-        perfs, freqs, fits = [], [], []
-        for t in tquals:
-            d = oracle.best(profile, t_qual_k=t, mode=mode)
-            perfs.append(d.performance)
-            freqs.append(d.op.frequency_ghz)
-            fits.append(d.fit)
+        cells = [oracle.best(profile, t_qual_k=t, mode=mode) for t in tquals]
     print(format_series(
         "Tqual (K)", tquals,
-        {"performance": perfs, "frequency GHz": freqs, "FIT": fits},
+        {
+            "performance": [d.performance for d in cells],
+            "frequency GHz": [d.op.frequency_ghz for d in cells],
+            "FIT": [d.fit for d in cells],
+        },
         title=f"DRM ({mode.value}) sweep for {profile.name}",
     ))
     return 0
 
 
 def _cmd_engine(args: argparse.Namespace) -> int:
+    import contextlib
+    import tempfile
+
     from repro.engine import Engine, stderr_progress
 
     if args.fault_plan:
@@ -216,44 +219,27 @@ def _cmd_engine(args: argparse.Namespace) -> int:
 
         install(FaultPlan.resolve(args.fault_plan))
         os.environ[PLAN_ENV] = args.fault_plan
-    if args.apps == "all":
-        apps = list(SUITE_NAMES)
-    else:
-        apps = [workload_by_name(a.strip()).name for a in args.apps.split(",")]
+    apps = list(SUITE_NAMES) if args.apps == "all" else _parse_apps(args.apps)
     tquals = [float(t) for t in args.tquals.split(",")]
-    progress = stderr_progress if args.progress else None
-    if args.cache_dir is not None:
-        # Checkpointed path: the stream lives in the store, so a killed
-        # sweep resumes with --resume, recomputing only unfinished cells.
-        from repro.harness.sweep import DRMSweepRunner
-
-        runner = DRMSweepRunner(
-            args.cache_dir,
-            mode=args.mode,
-            dvs_steps=args.dvs_steps,
-            instructions=args.instructions,
-            warmup=args.warmup,
-            seed=args.seed,
-            max_workers=args.workers,
-            timeout_s=args.timeout,
-            retries=args.retries,
-            failure_budget=args.failure_budget,
-            progress=progress,
-        )
-        decisions = runner.run(apps, tquals, resume=args.resume)
-        engine = runner.engine
-    else:
-        if args.resume:
-            print("engine: --resume needs --cache-dir (the stream lives in "
-                  "the result store)", file=sys.stderr)
-            return 2
+    if args.resume and args.cache_dir is None:
+        print("engine: --resume needs --cache-dir (the stream lives in "
+              "the result store)", file=sys.stderr)
+        return 2
+    # The sweep journals its cells in a result store; without
+    # --cache-dir it gets a temporary one for this run alone.
+    store_root = (
+        contextlib.nullcontext(args.cache_dir)
+        if args.cache_dir is not None
+        else tempfile.TemporaryDirectory(prefix="repro-engine-")
+    )
+    with store_root as store_dir:
         engine = Engine(
-            store_dir=None,
+            store_dir=store_dir,
             max_workers=args.workers,
             timeout_s=args.timeout,
             retries=args.retries,
             failure_budget=args.failure_budget,
-            progress=progress,
+            progress=stderr_progress if args.progress else None,
         )
         decisions = engine.drm_sweep(
             apps,
@@ -263,6 +249,7 @@ def _cmd_engine(args: argparse.Namespace) -> int:
             instructions=args.instructions,
             warmup=args.warmup,
             seed=args.seed,
+            resume=args.resume,
         )
     if args.progress:
         print(file=sys.stderr)
@@ -288,7 +275,7 @@ def _cmd_engine(args: argparse.Namespace) -> int:
     print()
     print(engine.events.render())
     store = engine.store
-    if store is not None and store.stats.quarantined > engine.events.counters["quarantined"]:
+    if store.stats.quarantined > engine.events.counters["quarantined"]:
         # Corruption caught at the JSON-parse layer never reaches the
         # event log; surface the store's own count.
         print(

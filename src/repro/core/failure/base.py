@@ -112,8 +112,9 @@ class FailureMechanism(abc.ABC):
         positive voltage/frequency) — the batch kernel validates them
         once per grid instead of once per element.
 
-        Each mechanism implements this with a closed-form array
-        expression equal to its scalar model.
+        Each mechanism implements this with the closed form of its
+        scalar model.  The two agree to a few ulps, not bit for bit:
+        numpy's array ``exp``/``power`` round differently from libm.
         """
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -146,7 +146,13 @@ class RampModel:
         return FitAccount(entries)
 
     def application_reliability(self, evaluation: PlatformEvaluation) -> AppReliability:
-        """Time-averaged FIT for an application run (Section 3.6)."""
+        """Time-averaged FIT for an application run (Section 3.6).
+
+        The scalar reference for :meth:`application_fit_batch`; the two
+        agree to within ~1e-15 relative, not bit for bit (array
+        ``exp``/``power`` and summation order differ), so most candidate
+        rows differ in their last bits.
+        """
         if not evaluation.intervals:
             raise ReliabilityError("evaluation has no intervals")
         instantaneous = FitAccount.weighted_average(
@@ -250,7 +256,9 @@ class RampModel:
 
         The per-candidate total of :meth:`application_fit_fields_batch`,
         summed in mechanism order so the result stays bit-identical to
-        the pre-refactor accumulation.  Shape ``(n_candidates,)``.
+        the pre-refactor accumulation (but not to
+        :meth:`application_reliability`, which it matches to ~1e-15
+        relative).  Shape ``(n_candidates,)``.
         """
         fields = self.application_fit_fields_batch(batch)
         total = np.zeros(batch.n_candidates)

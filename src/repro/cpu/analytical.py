@@ -66,9 +66,16 @@ class FrequencyScalingModel:
         """Instructions per second at ``frequency_hz``.
 
         Monotonically increasing in f, but sub-linear for memory-bound
-        runs — raising the clock cannot speed up DRAM.
+        runs — raising the clock cannot speed up DRAM.  Computed as the
+        reciprocal of the time per instruction, ``cpi_core / f +
+        cpi_mem / f_base``: every step is a correctly rounded monotone
+        operation, so the result is monotone in floating point too
+        (``f / cpi_at(f)`` can drop by an ulp across a one-ulp clock
+        step).
         """
-        return frequency_hz / self.cpi_at(frequency_hz)
+        if frequency_hz <= 0.0:
+            raise SimulationError("frequency must be positive")
+        return 1.0 / (self.cpi_core / frequency_hz + self.cpi_mem / self.f_base_hz)
 
     def speedup(self, frequency_hz: float, reference_hz: float | None = None) -> float:
         """Wall-clock speedup at ``frequency_hz`` vs ``reference_hz``.

@@ -21,10 +21,10 @@ sweeps), see :meth:`SimulationCache.run_many`, which routes through
 :class:`repro.engine.Engine`.
 
 For whole DRM sweeps that must survive being killed mid-run, see
-:class:`DRMSweepRunner`: every finished (application, T_qual) cell is
-recorded as a ``sweep.cell_done`` record on the store's telemetry
-stream, and a ``resume`` run replays the stream to restore the finished
-cells (emitting ``resumed`` events) and recomputes only the rest.
+:meth:`repro.engine.Engine.drm_sweep`: every finished (application,
+T_qual) cell is journalled on the store's telemetry stream, and
+``resume=True`` restores the finished cells and recomputes only the
+rest.
 """
 
 from __future__ import annotations
@@ -177,224 +177,3 @@ class SimulationCache:
             for p in profiles
             for c in configs
         }
-
-
-#: Sweep spec version; bump when the spec shape (and thus run identity)
-#: changes.  (Key name stays ``schema`` for hash stability.)
-SWEEP_SPEC_SCHEMA = 1
-
-
-class DRMSweepRunner:
-    """Checkpointed DRM oracle sweep over (application × T_qual) cells.
-
-    Each cell runs through :class:`repro.engine.Engine` (simulations fan
-    out in parallel first), and every finished cell appends one
-    ``sweep.cell_done`` telemetry record — pointing at the decision's
-    content key in the store — to the sweep's stream under
-    ``<store>/telemetry/sweep-<spec-hash>/``.  A ``resume=True`` run
-    replays the stream to restore finished cells — verifying each
-    decision still decodes; a corrupt one is struck and recomputed — and
-    only submits jobs for the rest, so killing a sweep mid-run (even
-    mid-append: frames are CRC-checked and torn tails skipped) costs
-    only the cells that had not finished.  A completed sweep compacts
-    its stream into one segment.
-
-    Args:
-        store_dir: directory of the engine's result store (required —
-            the telemetry stream lives inside it).
-        mode / dvs_steps / instructions / warmup / seed: sweep
-            parameters; all part of the stream's run identity hash.
-        max_workers / timeout_s / retries / failure_budget / progress:
-            forwarded to the engine.
-    """
-
-    def __init__(
-        self,
-        store_dir: str | os.PathLike,
-        *,
-        mode: str = "archdvs",
-        dvs_steps: int = 26,
-        instructions: int | None = None,
-        warmup: int | None = None,
-        seed: int = 42,
-        max_workers: int | None = None,
-        timeout_s: float | None = None,
-        retries: int = 1,
-        failure_budget: int | None = None,
-        progress=None,
-    ) -> None:
-        from repro.cpu.simulator import DEFAULT_INSTRUCTIONS, DEFAULT_WARMUP
-        from repro.engine import Engine
-
-        if store_dir is None:
-            from repro.errors import SweepError
-
-            raise SweepError(
-                "a checkpointed sweep needs a store directory for its journal"
-            )
-        self.mode = mode
-        self.dvs_steps = dvs_steps
-        self.instructions = (
-            DEFAULT_INSTRUCTIONS if instructions is None else instructions
-        )
-        self.warmup = DEFAULT_WARMUP if warmup is None else warmup
-        self.seed = seed
-        self.engine = Engine(
-            store_dir=store_dir,
-            max_workers=max_workers,
-            timeout_s=timeout_s,
-            retries=retries,
-            failure_budget=failure_budget,
-            progress=progress,
-        )
-
-    # ---- stream --------------------------------------------------------
-
-    def _spec(self, apps, tquals) -> dict:
-        return {
-            "schema": SWEEP_SPEC_SCHEMA,
-            "apps": sorted(apps),
-            "tquals": sorted(float(t) for t in tquals),
-            "mode": self.mode,
-            "dvs_steps": self.dvs_steps,
-            "instructions": self.instructions,
-            "warmup": self.warmup,
-            "seed": self.seed,
-        }
-
-    @property
-    def stream_root(self) -> Path:
-        from repro.telemetry import STORE_DIRNAME
-
-        return self.engine.store.root / STORE_DIRNAME
-
-    def sweep_run_id(self, apps, tquals) -> str:
-        """The sweep's stream identity: stable across kill/resume."""
-        from repro.engine.jobs import content_hash
-
-        return f"sweep-{content_hash(self._spec(apps, tquals))[:16]}"
-
-    def _replay(self, run_id: str) -> dict[str, str]:
-        """The ``{cell_id: decision_key}`` map the stream records.
-
-        A ``sweep.reset`` record (appended by every non-resume run)
-        clears everything before it; torn or damaged frames are skipped
-        by the reader, so a sweep killed mid-append replays every cell
-        whose record made it to disk intact.
-        """
-        from repro.telemetry import read_stream
-
-        done: dict[str, str] = {}
-        for record in read_stream(
-            self.stream_root, run_id=run_id, kinds=("sweep.",)
-        ):
-            if record.kind == "sweep.reset":
-                done.clear()
-            elif record.kind == "sweep.cell_done":
-                cell = record.payload.get("cell")
-                key = record.payload.get("decision_key")
-                if isinstance(cell, str) and isinstance(key, str):
-                    done[cell] = key
-        return done
-
-    @staticmethod
-    def _cell_id(app: str, t_qual: float) -> str:
-        return f"{app}@{t_qual:g}"
-
-    # ---- sweep ---------------------------------------------------------
-
-    def run(
-        self, apps, tquals, resume: bool = False
-    ) -> dict[tuple[str, float], object]:
-        """Run (or resume) the sweep; returns ``{(app, t_qual): decision}``.
-
-        With ``resume=True``, cells recorded on the telemetry stream are
-        restored straight from the store (one ``resumed`` event each) and
-        only the remaining cells are executed; without it a
-        ``sweep.reset`` record voids the history and every cell is redone
-        (finished simulations still short-circuit through the
-        content-addressed store either way).
-        """
-        from repro.engine.jobs import DRMSearchJob
-        from repro.engine.store import decode_drm_decision
-        from repro.telemetry import TelemetryWriter, compact_run
-
-        apps = list(apps)
-        tquals = [float(t) for t in tquals]
-        spec = self._spec(apps, tquals)
-        run_id = self.sweep_run_id(apps, tquals)
-        done = self._replay(run_id) if resume else {}
-        writer = TelemetryWriter(self.stream_root, run_id=run_id)
-        if not resume:
-            writer.append("sweep.reset", {"reason": "fresh run"})
-        writer.append("sweep.spec", spec)
-
-        jobs: dict[tuple[str, float], DRMSearchJob] = {
-            (app, t_qual): DRMSearchJob(
-                profile_name=app,
-                t_qual_k=t_qual,
-                mode=self.mode,
-                dvs_steps=self.dvs_steps,
-                instructions=self.instructions,
-                warmup=self.warmup,
-                seed=self.seed,
-            )
-            for app in apps
-            for t_qual in tquals
-        }
-
-        decisions: dict[tuple[str, float], object] = {}
-        store = self.engine.store
-        for cell, job in jobs.items():
-            key = done.get(self._cell_id(*cell))
-            if key is None:
-                continue
-            decision, strike = store.load(key, decode_drm_decision)
-            if decision is None:
-                if strike is not None:
-                    self.engine.events.emit(
-                        strike,
-                        job_key=key,
-                        stage="drm",
-                        detail=f"journalled cell {self._cell_id(*cell)}: "
-                        "undecodable entry",
-                    )
-                done.pop(self._cell_id(*cell), None)
-                continue
-            decisions[cell] = decision
-            self.engine.events.emit(
-                "resumed",
-                job_key=key,
-                stage="drm",
-                detail=f"cell {self._cell_id(*cell)} restored from stream",
-            )
-
-        pending = [cell for cell in jobs if cell not in decisions]
-        if pending:
-            # Fan the expensive cycle-level simulations out across every
-            # pending cell first; the per-cell runs below then hit a warm
-            # store and the journal advances cheaply cell by cell.
-            prefetch: dict[str, object] = {}
-            for cell in pending:
-                for dep in jobs[cell].dependencies():
-                    prefetch[dep.cache_key] = dep
-            self.engine.run(list(prefetch.values()))
-        for cell in pending:
-            job = jobs[cell]
-            decision = self.engine.run([job])[job]
-            decisions[cell] = decision
-            if decision is not None:
-                done[self._cell_id(*cell)] = job.cache_key
-                writer.append(
-                    "sweep.cell_done",
-                    {
-                        "cell": self._cell_id(*cell),
-                        "decision_key": job.cache_key,
-                    },
-                )
-        if all(decision is not None for decision in decisions.values()):
-            # The sweep is whole: fold its (possibly crash-littered)
-            # segments into one.  Readers dedupe by seq, so a crash
-            # inside the compaction itself is also survivable.
-            compact_run(self.stream_root, run_id, include_active=True)
-        return decisions

@@ -13,6 +13,10 @@ mode injectable on demand, deterministically, from a seeded
         # corrupt cache entries and a poisoned kernel row included —
         # and the decisions still come back bit-identical.
 
+A sweep killed outright resumes from its journal with
+``engine.drm_sweep(apps, tquals, resume=True)``
+(:meth:`repro.engine.Engine.drm_sweep`).
+
 See :mod:`repro.resilience.faults` for the site catalogue and
 ``docs/RESILIENCE.md`` for the fault taxonomy and degradation ladder.
 """

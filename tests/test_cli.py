@@ -67,6 +67,18 @@ class TestCommands:
         assert "345" in out and "400" in out
         assert "performance" in out
 
+    def test_sweep_same_with_and_without_store(self, tmp_path, capsys):
+        args = ["sweep", "twolf", "--tquals", "345,400", "--mode", "dvs"] + FAST
+        assert main(args) == 0
+        plain = capsys.readouterr().out
+        assert main(args + ["--cache-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == plain
+
+    @pytest.mark.parametrize("cmd", [["sweep", "twolf"], ["engine"]])
+    def test_resume_needs_cache_dir(self, cmd, capsys):
+        assert main(cmd + ["--resume"]) == 2
+        assert "--resume needs --cache-dir" in capsys.readouterr().err
+
     def test_map_renders(self, capsys):
         code = main(["map", "MPGdec"] + FAST)
         out = capsys.readouterr().out

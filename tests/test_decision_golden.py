@@ -3,9 +3,11 @@
 Pins the decisions themselves, bit for bit, as their store encoding
 (``encode_result``): the cold ArchDVS decisions for gzip, art and MPGdec
 at T_qual 370 K, the 24 warm cells (the same three applications × T_qual
-345–394 K in steps of 7 K), and one DTM, joint and intra-application
-(greedy and exhaustive) decision for gzip — all at 2k + 0.4k
-instructions and trace seed 42.  The two DRM digests are combined the
+345–394 K in steps of 7 K), gzip's ArchDVS decisions at Figure 2's four
+T_qual values, and one DTM, joint and intra-application (greedy and
+exhaustive) decision for gzip — all at 2k + 0.4k instructions and trace
+seed 42 — plus the ``final-wear`` line of one short closed-loop
+``repro lifetime`` mission.  The two DRM digests are combined the
 way ``benchmarks/e2e/workloads.py`` combines them and equal the
 ``drm_cold``/``drm_warm`` ``decisions`` entries of
 ``benchmarks/e2e/golden.json`` (full mode), so a change that moves any
@@ -38,6 +40,16 @@ WARM_T_QUALS = tuple(float(t) for t in range(345, 396, 7))
 COLD_DECISIONS = "f12ac2abf2abe745198c8e519f1b66dd4b5ab0c03a4fba293bd803d8f244e9af"
 #: ``benchmarks/e2e/golden.json`` full-mode ``drm_warm`` ``decisions``.
 WARM_DECISIONS = "7cc1c2603f873fce443ffbfc7d9bf4619c01b6dce81bacc5e4ae9277f40ab57e"
+#: gzip's ArchDVS decisions at Figure 2's T_qual values, in that order.
+FIG2_T_QUALS = (325.0, 345.0, 370.0, 400.0)
+GZIP_FIG2_DECISIONS = "eeb751a20d04fac6ca73c6e04e9e98459f5aa2206b6b73682aff1c70c70be1ee"
+#: SHA-256 of the ``final-wear`` line of ``repro lifetime LIFETIME_ARGS``.
+LIFETIME_ARGS = [
+    "--apps", "gzip,art", "--epochs", "24", "--epoch-hours", "500",
+    "--schedule-seed", "7", "--instructions", str(INSTRUCTIONS),
+    "--warmup", str(WARMUP), "--seed", str(SEED),
+]
+FINAL_WEAR = "b2363e634d29af9a26300562f3017176ba5c738102a19aaf8983145ab8da7d9e"
 #: gzip at T_qual 370 K and T_limit 355 K.
 GZIP_DIGESTS = {
     "dtm": "eeea33e6a22d12b80e5107c61c014c1b858a236a07e16a3e9bac5be0702fb525",
@@ -77,6 +89,22 @@ def test_warm_archdvs_cells(oracle):
     cells = {(app, t): drm_decision(oracle, app, t) for app in DRM_APPS for t in WARM_T_QUALS}
     assert len(cells) == 24
     assert digest([cells[cell] for cell in sorted(cells)]) == WARM_DECISIONS
+
+
+def test_gzip_figure2_decisions(oracle):
+    cells = [drm_decision(oracle, "gzip", t) for t in FIG2_T_QUALS]
+    assert digest(cells) == GZIP_FIG2_DECISIONS
+
+
+def test_lifetime_final_wear(capsys):
+    from repro.cli import main
+
+    assert main(["lifetime", *LIFETIME_ARGS]) == 0
+    (line,) = [
+        line for line in capsys.readouterr().out.splitlines()
+        if line.startswith("final-wear ")
+    ]
+    assert hashlib.sha256(line.encode()).hexdigest() == FINAL_WEAR
 
 
 def test_dtm_joint_and_intra_decisions(oracle):

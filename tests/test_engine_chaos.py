@@ -18,7 +18,6 @@ from repro.engine.events import EventLog
 from repro.engine.executor import ExecutorConfig, JobExecutor
 from repro.engine.jobs import Job
 from repro.engine.store import ResultStore
-from repro.harness.sweep import DRMSweepRunner
 from repro.resilience import (
     CI_DEFAULT,
     STORE_CORRUPT,
@@ -256,48 +255,75 @@ class TestSweepBitIdentity:
 
 class TestSweepResume:
     TQUALS = [370.0, 380.0]
+    #: The stream identity of this sweep, as every earlier release
+    #: wrote it: a stream left by a killed sweep must resume.
+    RUN_ID = "sweep-db8060b15302e6f1"
 
-    def run_sweep(self, store_dir, resume=False, **kw):
-        runner = DRMSweepRunner(
-            store_dir,
+    def run_sweep(self, store_dir, resume=False):
+        engine = Engine(store_dir=store_dir, max_workers=1)
+        decisions = engine.drm_sweep(
+            APPS,
+            self.TQUALS,
             mode="dvs",
             instructions=INSTR,
             warmup=WARMUP,
-            max_workers=1,
-            **kw,
+            resume=resume,
         )
-        return runner, runner.run(APPS, self.TQUALS, resume=resume)
+        return engine, decisions
 
-    def stream_frames(self, runner):
-        """(run_id, segment paths, frame lines across all segments)."""
+    @staticmethod
+    def stream_root(engine):
+        from repro.telemetry import STORE_DIRNAME
+
+        return engine.store.root / STORE_DIRNAME
+
+    def stream_frames(self, engine):
+        """(segment paths, frame lines across all segments)."""
         from repro.telemetry import run_segments
 
-        run_id = runner.sweep_run_id(APPS, self.TQUALS)
-        segments = run_segments(runner.stream_root, run_id)
+        segments = run_segments(self.stream_root(engine), self.RUN_ID)
         frames = [
             line
             for path in segments
             for line in path.read_bytes().split(b"\n")
             if line
         ]
-        return run_id, segments, frames
+        return segments, frames
 
-    def cell_records(self, runner):
+    def cell_records(self, engine):
         from repro.telemetry import read_stream
 
         return [
             r
             for r in read_stream(
-                runner.stream_root,
-                run_id=runner.sweep_run_id(APPS, self.TQUALS),
+                self.stream_root(engine),
+                run_id=self.RUN_ID,
                 kinds=("sweep.cell_done",),
             )
         ]
 
+    def test_stream_identity_is_stable(self, tmp_path):
+        from repro.engine import sweep_run_id
+        from repro.telemetry import list_runs, read_stream
+
+        engine, _ = self.run_sweep(tmp_path)
+        root = self.stream_root(engine)
+        assert [r for r in list_runs(root) if r.startswith("sweep-")] == [
+            self.RUN_ID
+        ]
+        (spec,) = read_stream(root, run_id=self.RUN_ID, kinds=("sweep.spec",))
+        assert sweep_run_id(spec.payload) == self.RUN_ID
+
+    def test_sweep_needs_a_store(self):
+        from repro.errors import SweepError
+
+        with pytest.raises(SweepError, match="store directory"):
+            Engine(max_workers=1).drm_sweep(APPS, self.TQUALS, mode="dvs")
+
     def test_resume_restores_streamed_cells_only(self, tmp_path):
-        runner, first = self.run_sweep(tmp_path)
-        assert len(self.cell_records(runner)) == 4
-        run_id, segments, frames = self.stream_frames(runner)
+        engine, first = self.run_sweep(tmp_path)
+        assert len(self.cell_records(engine)) == 4
+        segments, frames = self.stream_frames(engine)
         # Simulate kill -9 after two finished cells: keep the reset/spec
         # frames plus the first two cell_done frames intact, then half of
         # the third cell_done frame — exactly what a torn append leaves.
@@ -310,9 +336,9 @@ class TestSweepResume:
             path.unlink()
         segments[0].write_bytes(b"\n".join(kept) + b"\n" + torn)
 
-        resumed_runner, second = self.run_sweep(tmp_path, resume=True)
+        resumed, second = self.run_sweep(tmp_path, resume=True)
         assert second == first
-        events = resumed_runner.engine.events
+        events = resumed.events
         # Exactly the streamed cells were restored, and only the two
         # lost cells went back through the engine (as store hits).
         assert events.counters["resumed"] == 2
@@ -325,40 +351,46 @@ class TestSweepResume:
         assert drm_submitted == 2
 
     def test_resume_with_destroyed_stream_recomputes_everything(self, tmp_path):
-        runner, first = self.run_sweep(tmp_path)
-        _, segments, _ = self.stream_frames(runner)
+        engine, first = self.run_sweep(tmp_path)
+        segments, _ = self.stream_frames(engine)
         for path in segments:
             path.write_bytes(b"{broken garbage, no frames survive\n" * 3)
-        resumed_runner, second = self.run_sweep(tmp_path, resume=True)
+        resumed, second = self.run_sweep(tmp_path, resume=True)
         assert second == first
-        assert resumed_runner.engine.events.counters["resumed"] == 0
+        assert resumed.events.counters["resumed"] == 0
 
     def test_resume_strikes_corrupt_streamed_decision(self, tmp_path):
-        runner, first = self.run_sweep(tmp_path)
-        victim_key = self.cell_records(runner)[0].payload["decision_key"]
-        entry = runner.engine.store._object_path(victim_key)
+        engine, first = self.run_sweep(tmp_path)
+        victim_key = self.cell_records(engine)[0].payload["decision_key"]
+        entry = engine.store._object_path(victim_key)
         entry.write_text('{"schema": 1, "oops"')
 
-        resumed_runner, second = self.run_sweep(tmp_path, resume=True)
+        resumed, second = self.run_sweep(tmp_path, resume=True)
         assert second == first
-        events = resumed_runner.engine.events
-        assert events.counters["resumed"] == 3
-        assert resumed_runner.engine.store.stats.healed == 1
-        assert resumed_runner.engine.store.stats.quarantined == 0
+        assert resumed.events.counters["resumed"] == 3
+        assert resumed.store.stats.healed == 1
+        assert resumed.store.stats.quarantined == 0
 
     def test_without_resume_stream_is_reset(self, tmp_path):
-        runner, first = self.run_sweep(tmp_path)
-        fresh_runner, second = self.run_sweep(tmp_path, resume=False)
+        from repro.telemetry import build_report
+
+        _, first = self.run_sweep(tmp_path)
+        fresh, second = self.run_sweep(tmp_path, resume=False)
         assert second == first
-        assert fresh_runner.engine.events.counters["resumed"] == 0
+        assert fresh.events.counters["resumed"] == 0
         # The stream keeps both histories, append-only: eight cell_done
         # records in total, but a replay honours the second run's reset
-        # and sees exactly the four cells recorded after it.
-        assert len(self.cell_records(fresh_runner)) == 8
-        run_id = fresh_runner.sweep_run_id(APPS, self.TQUALS)
-        assert len(fresh_runner._replay(run_id)) == 4
+        # and sees exactly the four cells recorded after it...
+        assert len(self.cell_records(fresh)) == 8
+        report = build_report(self.stream_root(fresh), run_id=self.RUN_ID)
+        assert report.sweeps[self.RUN_ID]["cells_done"] == 4
+        # ...so a resume restores those four and runs nothing.
+        resumed, third = self.run_sweep(tmp_path, resume=True)
+        assert third == second
+        assert resumed.events.counters["resumed"] == 4
+        assert resumed.events.counters["submitted"] == 0
 
     def test_completed_sweep_compacts_to_one_segment(self, tmp_path):
-        runner, _ = self.run_sweep(tmp_path)
-        _, segments, _ = self.stream_frames(runner)
+        engine, _ = self.run_sweep(tmp_path)
+        segments, _ = self.stream_frames(engine)
         assert len(segments) == 1

@@ -90,11 +90,55 @@ class TestDRMSweep:
             APPS, [370.0, 380.0], mode="dvs", instructions=INSTR, warmup=WARMUP
         )
         c = engine.events.counters
-        # 9 suite sims + 4 searches submitted once; every other dependency
-        # reference hits the dedupe path.
-        assert c["submitted"] == 13
-        assert c["deduped"] > 0
+        # Each of the 9 suite sims and 4 searches runs once; every later
+        # reference to a simulation is answered by the store.
+        assert c["run"] == 13
         assert c["failed"] == 0
+
+
+class TestSimulationsRunOnce:
+    """A sweep simulates each (application, configuration) pair once."""
+
+    CLI_ARGS = [
+        "engine", "--apps", "gzip,art", "--tquals", "370,380", "--mode", "dvs",
+        "--workers", "1", "--instructions", "2000", "--warmup", "400",
+    ]
+
+    @pytest.fixture
+    def simulations(self, monkeypatch):
+        from repro.cpu.simulator import CycleSimulator
+
+        calls = []
+        real_run = CycleSimulator.run
+
+        def counting_run(self, *args, **kwargs):
+            calls.append(self.config)
+            return real_run(self, *args, **kwargs)
+
+        monkeypatch.setattr(CycleSimulator, "run", counting_run)
+        return calls
+
+    def test_engine_sweep(self, tmp_path, simulations):
+        Engine(store_dir=tmp_path, max_workers=1).drm_sweep(
+            ["gzip", "art"], [370.0, 380.0], mode="dvs",
+            instructions=2000, warmup=400,
+        )
+        # The suite's 9 base runs; DVS mode needs no other configuration.
+        assert len(simulations) == 9
+
+    def test_engine_command_without_store(self, tmp_path, monkeypatch, simulations, capsys):
+        import tempfile
+
+        from repro.cli import main
+
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        assert main(self.CLI_ARGS) == 0
+        assert len(simulations) == 9
+        # The temporary store is gone with the run.
+        assert list(scratch.iterdir()) == []
+        assert "gzip" in capsys.readouterr().out
 
 
 class TestStoreRecovery:

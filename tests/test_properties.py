@@ -245,6 +245,15 @@ class TestFrequencyScalingProperties:
         m = FrequencyScalingModel(core, mem, 4.0e9)
         assert m.ips_at(hi) >= m.ips_at(lo)
 
+    @pytest.mark.parametrize("core", [0.05, 0.1])
+    def test_ips_monotone_across_one_ulp(self, core):
+        # f / (cpi_core + cpi_mem * f / f_base) loses an ulp here: the
+        # higher clock gave fewer instructions per second.
+        m = FrequencyScalingModel(core, 1.0, 4.0e9)
+        lo = 1.0e9
+        hi = math.nextafter(lo, math.inf)
+        assert m.ips_at(hi) >= m.ips_at(lo)
+
     @settings(deadline=None, max_examples=50)
     @given(core=st.floats(min_value=0.05, max_value=5.0), mem=st.floats(min_value=0.0, max_value=5.0), f=freqs)
     def test_speedup_bounded_by_clock_ratio(self, core, mem, f):
